@@ -22,7 +22,7 @@ from .report import (
     run_verification,
     supremum_dict,
 )
-from .roots import find_alpha
+from .roots import N_MAX, find_alpha
 
 import numpy as np
 
@@ -51,6 +51,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the campaign reads alpha_{n_max+1}, so the last certified root bounds n_max
+    if not 1 <= args.n_max <= N_MAX - 1:
+        raise ConfigError(f"--n-max must be in [1, {N_MAX - 1}], got {args.n_max}")
     report = run_verification(n_max=args.n_max)
     report.config["format"] = args.format
     report.config["strict"] = args.strict

@@ -7,9 +7,11 @@ below the smallest margin this package ever needs to certify (~1e-16 in
 absolute terms, on quantities of size ~1e-5).
 
 sin/cos use an exact argument reduction: the operand is reduced modulo
-pi/2 in rational arithmetic against a 200-bit enclosure of pi, so the
-reduction contributes no error floor.  The reduction budget is
-|t| <= 1e6; larger arguments are rejected.
+pi/2 in integer arithmetic, with the operand and a 200-bit value of pi both
+scaled by 2^202, so the reduction contributes no error floor.  Interior
+extrema of an interval operand are located in floats and settled in exact
+rationals only when an extremum lies within 1e-9 of an endpoint.  The
+reduction budget is |t| <= 1e6; larger arguments are rejected.
 """
 
 from __future__ import annotations
@@ -44,14 +46,18 @@ class Verdict(Enum):
     UNDECIDED = "undecided"
 
 
-# pi scaled by 2^200, correctly rounded; the binary64 endpoints of pi
-# bracket the true value (math.pi rounds pi down).
+# pi scaled by 2^200 (it exceeds pi by ~1.3e-48); the binary64 endpoints of
+# pi bracket the true value (math.pi rounds pi down).
 _PI_SCALED = 5048344754617993871973410141242436836214643421490683230289920
 _PI_FRAC = Fraction(_PI_SCALED, 2**200)
 _HALF_PI_FRAC = _PI_FRAC / 2
-_QUARTER_PI_FRAC = _PI_FRAC / 4
+
+# pi/2 scaled by 2^202: an even integer, so pi/4 at that scale is one too.
+_SCALE_BITS = 202
+_HALF_PI_INT = 2 * _PI_SCALED
 
 _HALF_PI_FLOAT = float(_HALF_PI_FRAC)
+_TWO_PI_FLOAT = float(4 * _HALF_PI_FRAC)
 _KERNEL_CUT = 0.7853981633974483  # <= pi/4; below this no reduction is needed
 
 ARGUMENT_BUDGET = 1.0e6
@@ -223,20 +229,28 @@ def asin(a: Interval) -> Interval:
 
 
 def _reduce(x: float) -> tuple[float, float, int]:
-    """Reduce x to r = x - k*pi/2 with |r| <~ pi/4, exactly in rationals.
+    """Reduce x to r = x - k*pi/2 with |r| <~ pi/4, exactly in integers.
 
+    x and pi/2 are scaled to integers by 2^e (e = 202 unless |x| < 2^-149
+    needs more); int/int true division is correctly rounded.
     Returns (r_hi, r_lo, k mod 4) where r_hi + r_lo represents r to ~2^-106.
     """
     k = math.floor(x / _HALF_PI_FLOAT + 0.5)
-    r = Fraction(x) - k * _HALF_PI_FRAC
-    while r > _QUARTER_PI_FRAC:
-        r -= _HALF_PI_FRAC
+    num, den = x.as_integer_ratio()  # den is a power of two
+    e = max(den.bit_length() - 1, _SCALE_BITS)
+    half_pi = _HALF_PI_INT << (e - _SCALE_BITS)
+    quarter_pi = half_pi >> 1
+    r = (num << (e - den.bit_length() + 1)) - k * half_pi
+    while r > quarter_pi:
+        r -= half_pi
         k += 1
-    while r < -_QUARTER_PI_FRAC:
-        r += _HALF_PI_FRAC
+    while r < -quarter_pi:
+        r += half_pi
         k -= 1
-    r_hi = float(r)
-    r_lo = float(r - Fraction(r_hi))
+    scale = 1 << e
+    r_hi = r / scale
+    a, b = r_hi.as_integer_ratio()
+    r_lo = (r * b - a * scale) / (b * scale)
     return r_hi, r_lo, k & 3
 
 
@@ -278,15 +292,38 @@ def _check_budget(a: Interval) -> None:
         raise ArgumentTooLarge(f"trig argument {a!r} beyond reduction budget {ARGUMENT_BUDGET:g}")
 
 
-def _has_extremum(a: Interval, offset_frac: Fraction) -> bool:
-    """Does [a.lo, a.hi] contain a point offset + 2*pi*k?  Conservative."""
-    two_pi = 2 * _PI_FRAC
-    k_lo = math.floor((a.lo - float(offset_frac)) / float(two_pi)) - 1
-    k_hi = math.ceil((a.hi - float(offset_frac)) / float(two_pi)) + 1
-    flo, fhi = Fraction(a.lo), Fraction(a.hi)
+# A candidate extremum q*pi/2 with |q*pi/2| <= 1e6 + 4pi is placed in floats
+# as q * _HALF_PI_FLOAT.  Its error against the rational q * _HALF_PI_FRAC is
+# |q| * ulp(pi/2)/2 <= 6.4e5 * 1.2e-16 ~ 7e-11 from the constant plus half an
+# ulp at 1e6 ~ 6e-11 from the product: below 2e-10 for |t| <= 1e6.  Adding
+# the tolerance to an endpoint rounds by another 6e-11 at most, so a
+# candidate farther than _PLACE_TOL from both endpoints lands on the same
+# side of each as the rational candidate; only the rest take the exact test.
+_PLACE_TOL = 1e-9
+
+
+def _has_extremum(a: Interval, quarter: int) -> bool:
+    """Does [a.lo, a.hi] contain a point (quarter + 4k) * pi/2?
+
+    The verdict is the exact rational one against the 200-bit pi, except
+    that a point interval answers False: its image is the single value the
+    point kernel already encloses, so inserting an extremum could only widen
+    it (at the one float extremum, cos at 0, the clamp to [-1, 1] gives the
+    same bound).
+    """
+    if a.lo == a.hi:
+        return False
+    offset = quarter * _HALF_PI_FLOAT
+    k_lo = math.floor((a.lo - offset) / _TWO_PI_FLOAT) - 1
+    k_hi = math.ceil((a.hi - offset) / _TWO_PI_FLOAT) + 1
     for k in range(k_lo, k_hi + 1):
-        m = offset_frac + k * two_pi
-        if flo <= m <= fhi:
+        q = quarter + 4 * k
+        m = q * _HALF_PI_FLOAT
+        if m < a.lo - _PLACE_TOL or m > a.hi + _PLACE_TOL:
+            continue
+        if a.lo + _PLACE_TOL < m < a.hi - _PLACE_TOL:
+            return True
+        if Fraction(a.lo) <= q * _HALF_PI_FRAC <= Fraction(a.hi):
             return True
     return False
 
@@ -294,27 +331,27 @@ def _has_extremum(a: Interval, offset_frac: Fraction) -> bool:
 def sin(a: Interval) -> Interval:
     """Enclosure of sin over an interval, split at interior extrema."""
     _check_budget(a)
-    if a.width >= float(2 * _PI_FRAC) + 1e-9:
+    if a.width >= _TWO_PI_FLOAT + 1e-9:
         return Interval(-1.0, 1.0)
     lo1, hi1 = _sin_point(a.lo)
     lo2, hi2 = (lo1, hi1) if a.hi == a.lo else _sin_point(a.hi)
     lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if _has_extremum(a, _HALF_PI_FRAC):
+    if _has_extremum(a, 1):
         hi = 1.0
-    if _has_extremum(a, -_HALF_PI_FRAC):
+    if _has_extremum(a, -1):
         lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))
 
 
 def cos(a: Interval) -> Interval:
     _check_budget(a)
-    if a.width >= float(2 * _PI_FRAC) + 1e-9:
+    if a.width >= _TWO_PI_FLOAT + 1e-9:
         return Interval(-1.0, 1.0)
     lo1, hi1 = _cos_point(a.lo)
     lo2, hi2 = (lo1, hi1) if a.hi == a.lo else _cos_point(a.hi)
     lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if _has_extremum(a, Fraction(0)):
+    if _has_extremum(a, 0):
         hi = 1.0
-    if _has_extremum(a, _PI_FRAC):
+    if _has_extremum(a, 2):
         lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))

@@ -6,10 +6,12 @@ angle theta_n in (0, pi/2) with alpha_n * tan(theta_n) = 1.  The points
 1/alpha_n are the stationary points of x*sin(1/x), so everything
 downstream hangs off these certificates.
 
-Certification is by interval bisection on a sign-changing bracket; the
-parity of n fixes which end is negative ((-1)^n * phi increases through
-the root).  No monotonicity of phi itself is assumed, only the certified
-sign change.
+Certification is Newton-then-sign: a float Newton estimate of the root,
+then certified interval signs of phi just left and right of it, so the
+intermediate value theorem puts alpha_n inside that bracket.  The parity
+of n fixes which end is negative ((-1)^n * phi increases through the
+root).  No monotonicity of phi itself is assumed, only the certified sign
+change inside (n pi, n pi + pi/2), where the root is unique.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .interval import _HALF_PI_FRAC  # exact pi/2 for high-precision angle recov
 
 N_MAX = 10_000
 BRACKET_WIDTH_TARGET = 1e-12
+NEWTON_STEPS = 20
 SUBDIVISION_BUDGET = 1_000_000
 
 
@@ -74,47 +77,47 @@ def _decide_side(m: float, sgn: float) -> Verdict:
     return cert_positive(phi_iv(Interval.point(m)) * sgn)
 
 
+def _certified_end(x: float, step: float, limit: float, sgn: float, n: int) -> float:
+    """First of x + step, x + 2 step, x + 4 step, ... (clamped at limit, which
+    lies on the side step points to) where sgn*phi is certified positive."""
+    while True:
+        t = min(x + step, limit) if step > 0 else max(x + step, limit)
+        if _decide_side(t, sgn) is Verdict.PROVED_POSITIVE:
+            return t
+        if t == limit:
+            raise CertificationFailure(f"no certified sign change for n={n} up to {limit!r}")
+        step *= 2
+
+
 @lru_cache(maxsize=None)
 def find_alpha(n: int) -> RootCertificate:
     """Certify the unique root of phi in (n pi, n pi + pi/2).
 
-    Deterministic: bisection on certified signs until the bracket is at
-    most 1e-12 wide (or two ulps of alpha_n, whichever is larger), then a
-    Newton polish for the point estimate.  theta is recovered from the
-    exact rational pi/2 so the tangent residual stays tiny for all n.
+    Deterministic: float Newton from c - 1/c, c = (2n+1) pi/2, then the
+    certified signs of phi at x -/+ w, w = 1e-12/4, doubling w on a side
+    whose sign is not proved (never past the ends of the range).  The
+    bracket is at most 1e-12 wide, or two ulps of alpha_n when that is
+    larger.  A Newton polish inside the bracket gives the point estimate;
+    theta is recovered from the exact rational pi/2 so the tangent residual
+    stays tiny for all n.
     """
     if not (1 <= n <= N_MAX):
         raise ValueError(f"n must be in [1, {N_MAX}], got {n}")
     sgn = 1.0 if n % 2 == 0 else -1.0  # sgn * phi = (-1)^n * phi
 
-    a = (Interval.point(n) * PI).hi
-    b = ((Interval.point(2 * n + 1) * PI) / 2).lo
-    if cert_positive(-(phi_iv(Interval.point(a)) * sgn)) is not Verdict.PROVED_POSITIVE:
-        raise CertificationFailure(f"left bracket end not certified for n={n}")
-    if _decide_side(b, sgn) is not Verdict.PROVED_POSITIVE:
-        raise CertificationFailure(f"right bracket end not certified for n={n}")
-
-    for _ in range(200):
-        w = b - a
-        if w <= BRACKET_WIDTH_TARGET:
+    lo = (Interval.point(n) * PI).hi
+    hi = ((Interval.point(2 * n + 1) * PI) / 2).lo
+    c = (2 * n + 1) * (math.pi / 2)
+    x = c - 1.0 / c
+    for _ in range(NEWTON_STEPS):
+        x_next = x - phi(x) / dphi(x)
+        if x_next == x:
             break
-        moved = False
-        for cand in (a + 0.5 * w, a + 0.25 * w, a + 0.75 * w):
-            if not (a < cand < b):
-                continue
-            verdict = _decide_side(cand, sgn)
-            if verdict is Verdict.PROVED_POSITIVE:
-                b = cand
-                moved = True
-                break
-            if cert_positive(-(phi_iv(Interval.point(cand)) * sgn)) is Verdict.PROVED_POSITIVE:
-                a = cand
-                moved = True
-                break
-        if not moved:
-            if b <= math.nextafter(a, math.inf):
-                break  # bracket is a single ulp; cannot shrink further
-            raise CertificationFailure(f"bisection stalled for n={n} at [{a!r}, {b!r}]")
+        x = x_next
+    x = min(max(x, lo), hi)
+    w = BRACKET_WIDTH_TARGET / 4
+    a = _certified_end(x, -w, lo, -sgn, n)
+    b = _certified_end(x, w, hi, sgn, n)
 
     x = 0.5 * (a + b)
     for _ in range(4):

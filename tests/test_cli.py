@@ -89,6 +89,26 @@ class TestVerify:
         assert main(["verify", "--out", str(tmp_path / "r.json")]) == 0
         assert main(["verify", "--strict", "--out", str(tmp_path / "r2.json")]) == 1
 
+    @pytest.mark.parametrize("n_max", ["0", "-3", "10000", "10001"])
+    def test_n_max_out_of_range_exit_two(self, n_max, monkeypatch, capsys):
+        def fail(n_max):
+            raise AssertionError("verification ran for an out-of-range --n-max")
+
+        monkeypatch.setattr("holdercert.cli.run_verification", fail)
+        assert main(["verify", "--n-max", n_max]) == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    def test_n_max_upper_limit_accepted(self, monkeypatch, tmp_path):
+        seen = []
+
+        def record(n_max):
+            seen.append(n_max)
+            return VerificationReport("0.0.0", {}, [], [], None)
+
+        monkeypatch.setattr("holdercert.cli.run_verification", record)
+        assert main(["verify", "--n-max", "9999", "--out", str(tmp_path / "r.json")]) == 0
+        assert seen == [9999]
+
     def test_io_error_exit_two(self, tmp_path):
         assert main(["verify", "--n-max", "1", "--out", str(tmp_path / "no" / "dir.json")]) == 2
 

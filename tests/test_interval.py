@@ -2,10 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import holdercert.interval as iv
 from holdercert.interval import (
@@ -205,3 +206,113 @@ class TestWidthControl:
 def test_pi_enclosure():
     assert mp_encloses(PI, mp.pi)
     assert PI.width <= 2 * math.ulp(math.pi)
+
+
+# -- the exact rational kernel, kept as the reference for the fast paths -------
+
+_HALF_PI_FRAC = iv._HALF_PI_FRAC
+
+
+def _reduce_ref(x: float) -> tuple[float, float, int]:
+    k = math.floor(x / float(_HALF_PI_FRAC) + 0.5)
+    r = Fraction(x) - k * _HALF_PI_FRAC
+    while r > _HALF_PI_FRAC / 2:
+        r -= _HALF_PI_FRAC
+        k += 1
+    while r < -_HALF_PI_FRAC / 2:
+        r += _HALF_PI_FRAC
+        k -= 1
+    r_hi = float(r)
+    r_lo = float(r - Fraction(r_hi))
+    return r_hi, r_lo, k & 3
+
+
+def _has_extremum_ref(a: Interval, quarter: int) -> bool:
+    """Does [a.lo, a.hi] contain a point (quarter + 4k) * pi/2?  All in rationals."""
+    offset_frac = quarter * _HALF_PI_FRAC
+    two_pi = 4 * _HALF_PI_FRAC
+    k_lo = math.floor((a.lo - float(offset_frac)) / float(two_pi)) - 1
+    k_hi = math.ceil((a.hi - float(offset_frac)) / float(two_pi)) + 1
+    flo, fhi = Fraction(a.lo), Fraction(a.hi)
+    for k in range(k_lo, k_hi + 1):
+        if flo <= offset_frac + k * two_pi <= fhi:
+            return True
+    return False
+
+
+def _assert_reduce_matches(x: float) -> None:
+    (got_hi, got_lo, got_q), (hi, lo, q) = iv._reduce(x), _reduce_ref(x)
+    assert (got_hi.hex(), got_lo.hex(), got_q) == (hi.hex(), lo.hex(), q), x
+
+
+def _assert_extremum_matches(a: Interval) -> None:
+    for quarter in (-1, 0, 1, 2):
+        assert iv._has_extremum(a, quarter) == _has_extremum_ref(a, quarter), (a, quarter)
+
+
+def _floats_around_multiples() -> list[float]:
+    """The two binary64 neighbours of k*pi/2 (exact rational) for k near 0 and near the budget."""
+    out = []
+    for k in [*range(-40, 41), *range(636_600, 636_620), *range(-636_620, -636_600)]:
+        m = k * _HALF_PI_FRAC
+        f = float(m)
+        below = f if Fraction(f) < m else math.nextafter(f, -math.inf)
+        above = f if Fraction(f) > m else math.nextafter(f, math.inf)
+        out += [below, above]
+    return out
+
+
+class TestExactKernelReference:
+    """The integer reduction and the float-placed extremum test agree with
+    the all-rational kernel bit for bit."""
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_reduce_hypothesis(self, x):
+        _assert_reduce_matches(x)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    def test_extremum_hypothesis(self, x, y):
+        assume(x != y)
+        _assert_extremum_matches(Interval(min(x, y), max(x, y)))
+
+    @settings(max_examples=500, derandomize=True)
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=-1e-8, max_value=1e-8, allow_nan=False),
+    )
+    def test_extremum_width_near_two_pi(self, lo, excess):
+        _assert_extremum_matches(Interval(lo, lo + 2 * math.pi + excess))
+
+    def test_neighbours_of_multiples_of_half_pi(self):
+        points = _floats_around_multiples()
+        for x in points:
+            _assert_reduce_matches(x)
+        for below, above in zip(points[::2], points[1::2]):
+            for a in (
+                Interval(below, above),
+                Interval(below - 1.0, below),
+                Interval(above, above + 1.0),
+                Interval(above, below + 2 * math.pi),
+                Interval(above - 2 * math.pi, below),
+                Interval.point(below),
+                Interval.point(above),
+            ):
+                _assert_extremum_matches(a)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_point_interval_hypothesis(self, x):
+        assume(x != 0.0)
+        _assert_extremum_matches(Interval.point(x))
+
+    def test_cos_at_point_zero(self):
+        # the one point interval that holds an extremum: 0 = 0 * pi/2; the
+        # clamp to [-1, 1] gives the value inserting the maximum would
+        assert _has_extremum_ref(Interval.point(0.0), 0)
+        assert not iv._has_extremum(Interval.point(0.0), 0)
+        assert iv.cos(Interval.point(0.0)) == Interval(math.nextafter(math.nextafter(1.0, 0.0), 0.0), 1.0)
