@@ -4,10 +4,13 @@ A check passes only when the interval evaluation proves it: for a strict
 inequality ``a < b`` the difference must be proved positive from endpoint
 information alone.  An enclosure that merely straddles zero is reported
 as undecided, never as a pass.
+
+``subdivide`` is the one adaptive-bisection engine behind every box proof.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,17 +56,8 @@ def certified_less(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> 
 
 def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult:
     """Certify terms[0] < terms[1] < ... < terms[-1]; margin = weakest link."""
-    verdict = PASSED
-    margin = float("inf")
-    for a, b in zip(terms, terms[1:]):
-        diff = b - a
-        v = _verdict_of(diff)
-        if v == FAILED:
-            verdict = FAILED
-        elif v == UNDECIDED and verdict != FAILED:
-            verdict = UNDECIDED
-        margin = min(margin, diff.lo)
-    return CheckResult(check_id, anchor, verdict, margin)
+    links = (certified_less(check_id, anchor, a, b) for a, b in zip(terms, terms[1:]))
+    return merge_results(check_id, anchor, *links)
 
 
 def certified_equal(
@@ -110,3 +104,26 @@ def merge_results(check_id: str, anchor: str, *results: CheckResult) -> CheckRes
         if r.verdict == UNDECIDED:
             verdict = UNDECIDED
     return CheckResult(check_id, anchor, verdict, min(r.margin for r in results))
+
+
+def subdivide(
+    margin: Callable[[Interval], float], boxes: Iterable[Interval], budget: int
+) -> Iterator[tuple[Interval, float]]:
+    """Bisect depth first until margin(box) > 0; yield (leaf, margin(leaf)).
+
+    A box stops splitting once ``budget`` boxes have been processed or when
+    its midpoint is not strictly inside it; it is then an unproved leaf.
+    """
+    stack = list(boxes)
+    processed = 0
+    while stack:
+        box = stack.pop()
+        processed += 1
+        value = margin(box)
+        if not value > 0.0 and processed < budget:
+            m = box.mid
+            if box.lo < m < box.hi:
+                stack.append(Interval(box.lo, m))
+                stack.append(Interval(m, box.hi))
+                continue
+        yield box, value

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
 from .constants import c_n
-from .holder import f
-from .optimizer import ConfigError, global_sup, _piece_bounds
+from .holder import f, piece_bounds
+from .optimizer import ConfigError, global_sup
 from .report import (
     report_to_json,
     report_to_markdown,
@@ -25,21 +24,6 @@ from .report import (
 from .roots import N_MAX, find_alpha
 
 import numpy as np
-
-
-def _thread_cap() -> int:
-    """Validate HOLDER_CERT_THREADS (a cap on parallelism; we stay within
-    any positive cap by running sequentially)."""
-    raw = os.environ.get("HOLDER_CERT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"HOLDER_CERT_THREADS must be a positive int, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"HOLDER_CERT_THREADS must be a positive int, got {raw!r}")
-    return cap
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -67,6 +51,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    if not 1 <= args.n <= N_MAX:
+        raise ConfigError(f"--n must be in [1, {N_MAX}], got {args.n}")
     lines = ["n alpha theta bracket_width residual"]
     for n in range(1, args.n + 1):
         cert = find_alpha(n)
@@ -82,6 +68,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    if not 1 <= args.n <= N_MAX - 1:  # row n reads alpha_{n+1}
+        raise ConfigError(f"--n must be in [1, {N_MAX - 1}], got {args.n}")
     lines = ["n alpha_n alpha_np1 delta i_closed i_quad g f_factor c"]
     for n in range(1, args.n + 1):
         r = c_n(n)
@@ -105,17 +93,14 @@ def cmd_norm(args: argparse.Namespace) -> int:
 
 
 def cmd_landscape(args: argparse.Namespace) -> int:
-    lo, hi = _piece_bounds(args.n, args.x_cap)
-    xs = np.linspace(lo, hi, args.resolution)
+    lo, hi = piece_bounds(args.n, args.x_cap)
+    xs = np.linspace(lo, hi, args.resolution).tolist()
+    fv = [f(x) for x in xs]
     rows = ["x,y,q"]
-    for x in xs:
-        fx = f(float(x))
-        for y in xs:
-            if x == y:
-                q = 0.0
-            else:
-                q = abs(f(float(y)) - fx) / abs(float(y) - float(x)) ** 0.5
-            rows.append(f"{float(x)!r},{float(y)!r},{q!r}")
+    for x, fx in zip(xs, fv):
+        for y, fy in zip(xs, fv):
+            q = 0.0 if x == y else abs(fy - fx) / abs(y - x) ** 0.5
+            rows.append(f"{x!r},{y!r},{q!r}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -168,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

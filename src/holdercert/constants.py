@@ -29,7 +29,6 @@ from .checks import (
     analytic_pass,
     certified_above_decimal,
     certified_below_decimal,
-    certified_less,
 )
 from .interval import PI, Interval
 from .quadrature import composite_simpson
@@ -86,10 +85,10 @@ def c_n(n: int) -> ConstantsRow:
     b = find_alpha(n + 1).alpha
     delta = b - a
     ff = _f_factor(a, b)
-    i_closed = (b**5 - a**5) / 10.0 + delta / 4.0 * ff
+    i_closed = i_n_closed(n)
     prefactor = delta**2 / (math.pi**2 * a**2 * b**2)
     g = prefactor * (b**5 - a**5) / 10.0
-    c_lemma = prefactor * ((b**5 - a**5) / 10.0 + delta / 4.0 * ff)
+    c_lemma = prefactor * i_closed
     c_chain = (1.0 / math.pi**2) * (1.0 / a - 1.0 / b) ** 2 * i_closed
     if abs(c_lemma - c_chain) > 1e-12 * abs(c_lemma):
         raise RuntimeError(

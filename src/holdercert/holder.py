@@ -24,6 +24,7 @@ from .checks import (
     analytic_pass,
     certified_less,
     merge_results,
+    subdivide,
 )
 from .interval import PI, DomainError, Interval, Verdict, cert_positive
 from .quadrature import composite_simpson
@@ -101,6 +102,13 @@ class QuotientRecord:
     provenance: str
 
 
+def piece_bounds(n: int, x_cap: float) -> tuple[float, float]:
+    """Ends of the piece J_n; the unbounded J_0 is cut at x_cap."""
+    if n == 0:
+        return 1.0 / find_alpha(1).alpha, x_cap
+    return 1.0 / find_alpha(n + 1).alpha, 1.0 / find_alpha(n).alpha
+
+
 def classify_index(x: float) -> int:
     """Index n of the piece J_n containing x (0 for [1/alpha_1, inf))."""
     if x <= 0.0:
@@ -152,7 +160,7 @@ def quotient(x: float, y: float, alpha_exp: float = 0.5, provenance: str = "grid
 # -- Wirtinger (numerical oracle check) ---------------------------------------
 
 
-def wirtinger_for_interval(n: int, quad_tol: float = 1e-12) -> CheckResult:
+def wirtinger_for_interval(n: int) -> CheckResult:
     """int g^2 <= ((b-a)/pi)^2 int (g')^2 for g = f' on [1/alpha_{n+1}, 1/alpha_n].
 
     Quadrature-based numerical check (g vanishes at both ends since the
@@ -168,8 +176,8 @@ def wirtinger_for_interval(n: int, quad_tol: float = 1e-12) -> CheckResult:
     def dg_sq(t):
         return (np.sin(1.0 / t) / t**3) ** 2
 
-    lhs = composite_simpson(g_sq, a, b, rel_tol=quad_tol)
-    rhs = ((b - a) / math.pi) ** 2 * composite_simpson(dg_sq, a, b, rel_tol=quad_tol)
+    lhs = composite_simpson(g_sq, a, b, rel_tol=1e-12)
+    rhs = ((b - a) / math.pi) ** 2 * composite_simpson(dg_sq, a, b, rel_tol=1e-12)
     verdict = PASSED if lhs < rhs else FAILED
     return CheckResult(
         f"L1.6/J[n={n}]",
@@ -245,25 +253,17 @@ def check_envelope(x_max: float = 8.0, samples: int = 10_000) -> list[CheckResul
     regime_margin = [math.inf, math.inf, math.inf]
     regime_verdict = [PASSED, PASSED, PASSED]
 
-    budget = 16 * samples
-    stack = _envelope_boxes(inv_pi.hi + _STRIP, x_max, samples)
-    processed = 0
-    while stack:
-        box = stack.pop()
-        processed += 1
+    def envelope_margin(box: Interval) -> float:
         rhs = iv.sqrt((Interval.point(box.lo) - inv_pi) * 2)
-        diff = rhs - f_iv(box)
-        regime = 0 if box.lo < e1 else (1 if box.lo < e2 else 2)
-        if diff.lo > 0.0:
-            regime_margin[regime] = min(regime_margin[regime], diff.lo)
-            continue
-        if processed < budget and box.width > 1e-14:
-            m = box.mid
-            stack.append(Interval(box.lo, m))
-            stack.append(Interval(m, box.hi))
-            continue
-        regime_verdict[regime] = UNDECIDED
-        regime_margin[regime] = min(regime_margin[regime], diff.lo)
+        return (rhs - f_iv(box)).lo
+
+    budget = 16 * samples
+    boxes = _envelope_boxes(inv_pi.hi + _STRIP, x_max, samples)
+    for leaf, margin in subdivide(envelope_margin, boxes, budget):
+        regime = 0 if leaf.lo < e1 else (1 if leaf.lo < e2 else 2)
+        regime_margin[regime] = min(regime_margin[regime], margin)
+        if not margin > 0.0:
+            regime_verdict[regime] = UNDECIDED
 
     results = [
         merge_results(
@@ -290,22 +290,11 @@ def check_envelope(x_max: float = 8.0, samples: int = 10_000) -> list[CheckResul
     # the sub-ulp edge [1/pi, (1/pi).hi] holds since x >= 1/pi <=> 1/x <= pi
     conc_verdict = PASSED
     conc_margin = math.inf
-    stack = _envelope_boxes(inv_pi.hi, x_max, max(64, samples // 10))
-    processed = 0
-    while stack:
-        box = stack.pop()
-        processed += 1
-        s = iv.sin(1 / box)
-        if s.lo > 0.0:
-            conc_margin = min(conc_margin, s.lo)
-            continue
-        if processed < budget and box.width > 1e-14:
-            m = box.mid
-            stack.append(Interval(box.lo, m))
-            stack.append(Interval(m, box.hi))
-            continue
-        conc_verdict = UNDECIDED
-        conc_margin = min(conc_margin, s.lo)
+    boxes = _envelope_boxes(inv_pi.hi, x_max, max(64, samples // 10))
+    for leaf, margin in subdivide(lambda box: iv.sin(1 / box).lo, boxes, budget):
+        conc_margin = min(conc_margin, margin)
+        if not margin > 0.0:
+            conc_verdict = UNDECIDED
     results.append(
         CheckResult(
             "P2.3/concavity",
@@ -373,15 +362,9 @@ def _image_range(m: int) -> tuple[float, float]:
     return lo_img, hi_img
 
 
-def _piece_bounds(m: int, cap: float) -> tuple[float, float]:
-    if m == 0:
-        return 1.0 / find_alpha(1).alpha, max(cap, 1.0)
-    return 1.0 / find_alpha(m + 1).alpha, 1.0 / find_alpha(m).alpha
-
-
 def _preimage(m: int, target: float, cap: float) -> float:
     """Bisect the monotone restriction of f to J_m for f(t) = target."""
-    a, b = _piece_bounds(m, cap)
+    a, b = piece_bounds(m, max(cap, 1.0))
     fa, fb = f(a), f(b)
     increasing = fb >= fa
     lo_v, hi_v = (fa, fb) if increasing else (fb, fa)

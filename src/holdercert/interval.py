@@ -11,7 +11,8 @@ pi/2 in integer arithmetic, with the operand and a 200-bit value of pi both
 scaled by 2^202, so the reduction contributes no error floor.  Interior
 extrema of an interval operand are located in floats and settled in exact
 rationals only when an extremum lies within 1e-9 of an endpoint.  The
-reduction budget is |t| <= 1e6; larger arguments are rejected.
+reduction budget is |t| <= 1e6; larger arguments are rejected.  sin and cos
+share one kernel: cos t is evaluated as sin(t + pi/2), one quadrant on.
 """
 
 from __future__ import annotations
@@ -111,12 +112,6 @@ class Interval:
     def subset_of(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
@@ -186,17 +181,9 @@ class Interval:
             lo, hi = hi, lo
         return Interval(_down(lo, 2), _up(hi, 2))
 
-    def abs(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(0.0, max(-self.lo, self.hi))
-
 
 PI = Interval(math.pi, math.nextafter(math.pi, _INF))
 HALF_PI = PI / 2
-TWO_PI = PI * 2
 
 
 def cert_positive(a: Interval) -> Verdict:
@@ -254,12 +241,13 @@ def _reduce(x: float) -> tuple[float, float, int]:
     return r_hi, r_lo, k & 3
 
 
-def _sin_point(x: float) -> tuple[float, float]:
-    """Enclosure of sin(x) for a single float; pads cover libm + kernel error."""
+def _sin_point(x: float, shift: int) -> tuple[float, float]:
+    """Enclosure of sin(x + shift*pi/2) at a float, shift 0 or 1; pads cover libm + kernel error."""
     if abs(x) <= _KERNEL_CUT:
-        v = math.sin(x)
+        v = math.cos(x) if shift else math.sin(x)
         return _down(v, 2), _up(v, 2)
     rh, rl, q = _reduce(x)
+    q = (q + shift) & 3
     if q == 0:
         v = math.sin(rh) + rl * math.cos(rh)
     elif q == 1:
@@ -268,22 +256,6 @@ def _sin_point(x: float) -> tuple[float, float]:
         v = -(math.sin(rh) + rl * math.cos(rh))
     else:
         v = -(math.cos(rh) - rl * math.sin(rh))
-    return _down(v, 2), _up(v, 2)
-
-
-def _cos_point(x: float) -> tuple[float, float]:
-    if abs(x) <= _KERNEL_CUT:
-        v = math.cos(x)
-        return _down(v, 2), _up(v, 2)
-    rh, rl, q = _reduce(x)
-    if q == 0:
-        v = math.cos(rh) - rl * math.sin(rh)
-    elif q == 1:
-        v = -(math.sin(rh) + rl * math.cos(rh))
-    elif q == 2:
-        v = -(math.cos(rh) - rl * math.sin(rh))
-    else:
-        v = math.sin(rh) + rl * math.cos(rh)
     return _down(v, 2), _up(v, 2)
 
 
@@ -328,30 +300,28 @@ def _has_extremum(a: Interval, quarter: int) -> bool:
     return False
 
 
-def sin(a: Interval) -> Interval:
-    """Enclosure of sin over an interval, split at interior extrema."""
+def _trig(a: Interval, shift: int) -> Interval:
+    """Enclosure of sin(t + shift*pi/2) over a, split at interior extrema:
+    the maximum sits at quarter turns 1 - shift, the minimum at -1 - shift."""
     _check_budget(a)
     if a.width >= _TWO_PI_FLOAT + 1e-9:
         return Interval(-1.0, 1.0)
-    lo1, hi1 = _sin_point(a.lo)
-    lo2, hi2 = (lo1, hi1) if a.hi == a.lo else _sin_point(a.hi)
+    lo1, hi1 = _sin_point(a.lo, shift)
+    lo2, hi2 = (lo1, hi1) if a.hi == a.lo else _sin_point(a.hi, shift)
     lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if _has_extremum(a, 1):
+    if _has_extremum(a, 1 - shift):
         hi = 1.0
-    if _has_extremum(a, -1):
+    if _has_extremum(a, -1 - shift):
         lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))
+
+
+# sin and cos never call each other: tracing wraps each by name, once per call.
+def sin(a: Interval) -> Interval:
+    """Enclosure of sin over an interval."""
+    return _trig(a, 0)
 
 
 def cos(a: Interval) -> Interval:
-    _check_budget(a)
-    if a.width >= _TWO_PI_FLOAT + 1e-9:
-        return Interval(-1.0, 1.0)
-    lo1, hi1 = _cos_point(a.lo)
-    lo2, hi2 = (lo1, hi1) if a.hi == a.lo else _cos_point(a.hi)
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if _has_extremum(a, 0):
-        hi = 1.0
-    if _has_extremum(a, 2):
-        lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
+    """Enclosure of cos over an interval."""
+    return _trig(a, 1)

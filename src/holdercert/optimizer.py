@@ -20,8 +20,8 @@ from .checks import CheckResult, analytic_pass, certified_less
 from .constants import tail_constant_certificate, tail_sqrt_c_bound
 from . import interval as iv
 from .interval import PI
-from .holder import QuotientRecord, df, ddf, f, quotient
-from .roots import N_MAX, find_alpha, theta_interval
+from .holder import QuotientRecord, df, ddf, f, piece_bounds, quotient
+from .roots import N_MAX, theta_interval
 
 
 class ConfigError(Exception):
@@ -30,12 +30,6 @@ class ConfigError(Exception):
 
 STATIONARY_TOL = 1e-12
 ORACLE_RESOLUTION_CAP = 2**14
-
-
-def _piece_bounds(n: int, x_cap: float = 8.0) -> tuple[float, float]:
-    if n == 0:
-        return 1.0 / find_alpha(1).alpha, x_cap
-    return 1.0 / find_alpha(n + 1).alpha, 1.0 / find_alpha(n).alpha
 
 
 def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, float, float] | None:
@@ -94,7 +88,7 @@ def critical_pair(n: int, x_cap: float = 8.0) -> QuotientRecord | None:
     """
     if n < 0:
         raise ConfigError(f"critical_pair needs n >= 0, got {n}")
-    lo, hi = _piece_bounds(n, x_cap)
+    lo, hi = piece_bounds(n, x_cap)
     if n == 0:
         # interior pairs split around 1/pi (left of it f has the last lobe,
         # right of it f is concave); seed the two coordinates accordingly
@@ -169,7 +163,7 @@ def _piece_sup(
 ) -> tuple[float, QuotientRecord]:
     """Max of the quotient over one piece: endpoint pair, stationary pair,
     grid sweep refined by coordinate descent."""
-    lo, hi = _piece_bounds(n, x_cap)
+    lo, hi = piece_bounds(n, x_cap)
     candidates: list[QuotientRecord] = []
     if n >= 1:
         candidates.append(quotient(lo, hi, alpha_exp, provenance="boundary"))
@@ -202,7 +196,7 @@ def brute_grid_oracle(
     No refinement; validation oracle for interval_sup."""
     if resolution > ORACLE_RESOLUTION_CAP:
         raise ConfigError(f"resolution {resolution} beyond oracle cap {ORACLE_RESOLUTION_CAP}")
-    lo, hi = _piece_bounds(n, x_cap)
+    lo, hi = piece_bounds(n, x_cap)
     xs = np.linspace(lo, hi, resolution + 1)
     fv = xs * np.sin(1.0 / xs)
     best_q, best_x, best_y = -1.0, lo, hi
@@ -267,8 +261,8 @@ def global_sup(
     n > N tail and the beyond-cap pairs are covered by certified bounds
     (recorded in tail_checks) when alpha_exp is the canonical 1/2.
     """
-    if not 1 <= n_intervals <= N_MAX:
-        raise ConfigError(f"n_intervals must be in [1, {N_MAX}], got {n_intervals}")
+    if not 1 <= n_intervals <= N_MAX - 1:  # J_N reads alpha_{N+1}
+        raise ConfigError(f"n_intervals must be in [1, {N_MAX - 1}], got {n_intervals}")
     if x_cap < 4.0 / math.pi:
         raise ConfigError(f"x_cap must be >= 4/pi, got {x_cap!r}")
     if grid_resolution < 64:
@@ -287,7 +281,7 @@ def global_sup(
         ((n, s, a) for n, s, a in per_interval),
         key=lambda t: (-t[1], t[0], t[2].x, t[2].y),
     )
-    breakdown: dict[str, int] = {"grid": 0, "newton": 0, "boundary": 0, "remap": 0}
+    breakdown: dict[str, int] = {"grid": 0, "newton": 0, "boundary": 0}
     for _, _, arg in per_interval:
         breakdown[arg.provenance] += 1
 

@@ -39,7 +39,6 @@ class VerificationReport:
     config: dict
     checks: list[CheckResult]
     constants_table: list[ConstantsRow]
-    supremum: SupremumReport | None
 
     @property
     def summary(self) -> dict[str, int]:
@@ -58,7 +57,7 @@ class VerificationReport:
         return s["failed"] == 0 and s["undecided"] == 0
 
 
-def run_verification(n_max: int = 200, with_constants_table: bool = True) -> VerificationReport:
+def run_verification(n_max: int = 200) -> VerificationReport:
     """Run the full inequality campaign up to index n_max."""
     checks: list[CheckResult] = []
     for n in range(1, n_max + 1):
@@ -74,7 +73,7 @@ def run_verification(n_max: int = 200, with_constants_table: bool = True) -> Ver
     checks.extend(check_envelope(ENVELOPE_X_MAX, ENVELOPE_SAMPLES))
     checks.extend(check_nesting(n_max))
     checks.extend(check_proposition_inequalities())
-    table = [c_n(n) for n in range(1, n_max + 1)] if with_constants_table else []
+    table = [c_n(n) for n in range(1, n_max + 1)]
     return VerificationReport(
         tool_version=__version__,
         config={
@@ -85,7 +84,6 @@ def run_verification(n_max: int = 200, with_constants_table: bool = True) -> Ver
         },
         checks=checks,
         constants_table=table,
-        supremum=None,
     )
 
 
@@ -138,7 +136,6 @@ def report_to_dict(r: VerificationReport) -> dict:
         "config": r.config,
         "checks": [_check_dict(c) for c in r.checks],
         "constants_table": [_row_dict(row) for row in r.constants_table],
-        "supremum": None if r.supremum is None else supremum_dict(r.supremum),
         "summary": r.summary,
     }
 
@@ -187,7 +184,4 @@ def report_to_markdown(r: VerificationReport) -> str:
                 f"| {row.n} | {row.alpha_n!r} | {row.alpha_np1!r} | {row.delta!r} "
                 f"| {row.i_closed!r} | {row.i_quad!r} | {row.g!r} | {row.f_factor!r} | {row.c!r} |"
             )
-    if r.supremum is not None:
-        d = supremum_dict(r.supremum)
-        lines += ["", "## Supremum", "", "```json", json.dumps(d, indent=2), "```"]
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from .checks import (
     certified_chain,
     certified_less,
     merge_results,
+    subdivide,
 )
 from .interval import HALF_PI, PI, Interval, Verdict, cert_positive
 from .interval import _HALF_PI_FRAC  # exact pi/2 for high-precision angle recovery
@@ -40,10 +41,6 @@ SUBDIVISION_BUDGET = 1_000_000
 
 class CertificationFailure(Exception):
     """A sign change could not be certified; signals a kernel defect."""
-
-
-class SubdivisionBudgetExceeded(Exception):
-    """Adaptive subdivision exceeded its box budget."""
 
 
 def phi(t: float) -> float:
@@ -278,23 +275,12 @@ def check_cubic_overshoot() -> list[CheckResult]:
         "L1.5/tail",
         "Lemma 1.5: series bound sin t - t cos t - t^3/3 <= -t^5/30 + t^7/840 < 0 on (0, 2^-30]",
     )
-    stack = [Interval(_LEFT_TAIL, HALF_PI.hi)]
-    boxes = 0
     worst = math.inf
-    while stack:
-        box = stack.pop()
-        boxes += 1
-        if boxes > SUBDIVISION_BUDGET:
-            raise SubdivisionBudgetExceeded(f"lemma 1.5 subdivision exceeded {SUBDIVISION_BUDGET} boxes")
-        p = _overshoot_iv(box)
-        if p.hi < 0.0:
-            worst = min(worst, -p.hi)
-            continue
-        m = box.mid
-        if m <= box.lo or m >= box.hi:
-            raise CertificationFailure(f"lemma 1.5 box {box!r} undecidable at float resolution")
-        stack.append(Interval(box.lo, m))
-        stack.append(Interval(m, box.hi))
+    boxes = [Interval(_LEFT_TAIL, HALF_PI.hi)]
+    for leaf, margin in subdivide(lambda box: -_overshoot_iv(box).hi, boxes, SUBDIVISION_BUDGET):
+        if not margin > 0.0:
+            raise CertificationFailure(f"lemma 1.5 box {leaf!r} undecided within the subdivision budget")
+        worst = min(worst, margin)
     main = CheckResult(
         "L1.5/main",
         "Lemma 1.5: sin t - t cos t < t^3/3 on [2^-30, pi/2], certified by subdivision",

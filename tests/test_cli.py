@@ -7,6 +7,7 @@ import pytest
 
 from holdercert.checks import CheckResult
 from holdercert.cli import main
+from holdercert.constants import ConstantsRow
 from holdercert.report import (
     VerificationReport,
     report_to_dict,
@@ -14,6 +15,7 @@ from holdercert.report import (
     report_to_markdown,
     run_verification,
 )
+from holdercert.roots import find_alpha
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +74,6 @@ class TestVerify:
             config={},
             checks=[CheckResult("x", "x", "failed", -1.0)],
             constants_table=[],
-            supremum=None,
         )
         monkeypatch.setattr("holdercert.cli.run_verification", lambda n_max: failing)
         assert main(["verify", "--out", str(tmp_path / "r.json")]) == 1
@@ -83,7 +84,6 @@ class TestVerify:
             config={},
             checks=[CheckResult("x", "x", "undecided", 0.0)],
             constants_table=[],
-            supremum=None,
         )
         monkeypatch.setattr("holdercert.cli.run_verification", lambda n_max: undecided)
         assert main(["verify", "--out", str(tmp_path / "r.json")]) == 0
@@ -103,7 +103,7 @@ class TestVerify:
 
         def record(n_max):
             seen.append(n_max)
-            return VerificationReport("0.0.0", {}, [], [], None)
+            return VerificationReport("0.0.0", {}, [], [])
 
         monkeypatch.setattr("holdercert.cli.run_verification", record)
         assert main(["verify", "--n-max", "9999", "--out", str(tmp_path / "r.json")]) == 0
@@ -133,6 +133,26 @@ class TestRoots:
     def test_residual_gate(self, capsys):
         assert main(["roots", "--n", "5", "--tol", "1e-30"]) == 1
 
+    @pytest.mark.parametrize("n", ["0", "10001"])
+    def test_n_out_of_range_exit_two(self, n, monkeypatch, capsys):
+        def fail(n):
+            raise AssertionError("roots certified for an out-of-range --n")
+
+        monkeypatch.setattr("holdercert.cli.find_alpha", fail)
+        assert main(["roots", "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    def test_n_upper_limit_accepted(self, monkeypatch, tmp_path):
+        seen = []
+
+        def record(n):
+            seen.append(n)
+            return find_alpha(1)
+
+        monkeypatch.setattr("holdercert.cli.find_alpha", record)
+        assert main(["roots", "--n", "10000", "--out", str(tmp_path / "r.txt")]) == 0
+        assert seen[-1] == 10000
+
 
 class TestConstantsCmd:
     def test_table(self, capsys):
@@ -141,6 +161,27 @@ class TestConstantsCmd:
         assert len(lines) == 4
         c1 = float(lines[1].split()[-1])
         assert c1 == pytest.approx(2.2563463338991654, rel=1e-12)
+
+    @pytest.mark.parametrize("n", ["0", "10000"])
+    def test_n_out_of_range_exit_two(self, n, monkeypatch, capsys):
+        # row n reads alpha_{n+1}, and roots are certified up to n = 10000
+        def fail(n):
+            raise AssertionError("constants computed for an out-of-range --n")
+
+        monkeypatch.setattr("holdercert.cli.c_n", fail)
+        assert main(["constants", "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    def test_n_upper_limit_accepted(self, monkeypatch, tmp_path):
+        seen = []
+
+        def record(n):
+            seen.append(n)
+            return ConstantsRow(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr("holdercert.cli.c_n", record)
+        assert main(["constants", "--n", "9999", "--out", str(tmp_path / "c.txt")]) == 0
+        assert seen[-1] == 9999
 
 
 class TestNorm:
@@ -161,6 +202,15 @@ class TestNorm:
     def test_config_error(self):
         assert main(["norm", "--n", "0"]) == 2
 
+    def test_n_beyond_last_piece_exit_two(self, monkeypatch, capsys):
+        # piece J_10000 would read alpha_10001, past the certified roots
+        def fail(*args):
+            raise AssertionError("search ran for an out-of-range --n")
+
+        monkeypatch.setattr("holdercert.optimizer._piece_sup", fail)
+        assert main(["norm", "--n", "10000"]) == 2
+        assert "n_intervals" in capsys.readouterr().err
+
 
 class TestLandscape:
     def test_row_count_and_bound(self, tmp_path):
@@ -180,14 +230,3 @@ class TestLandscape:
         assert main(["landscape", "--n", "1", "--resolution", "16", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-
-class TestEnvironment:
-    def test_thread_cap_invalid(self, monkeypatch):
-        monkeypatch.setenv("HOLDER_CERT_THREADS", "zero")
-        assert main(["roots", "--n", "1"]) == 2
-        monkeypatch.setenv("HOLDER_CERT_THREADS", "0")
-        assert main(["roots", "--n", "1"]) == 2
-
-    def test_thread_cap_valid(self, monkeypatch, capsys):
-        monkeypatch.setenv("HOLDER_CERT_THREADS", "4")
-        assert main(["roots", "--n", "1"]) == 0

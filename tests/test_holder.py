@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from holdercert.checks import PASSED
+from holdercert.checks import PASSED, UNDECIDED, subdivide
 from holdercert.holder import (
     RemapFailure,
     X_FLOOR,
@@ -166,6 +166,54 @@ class TestEnvelope:
     def test_x_max_validation(self):
         with pytest.raises(DomainError):
             check_envelope(1.0 / math.pi)
+
+    def test_unprovable_boxes_are_undecided(self, monkeypatch):
+        # an enclosure of f too wide to prove anything: the subdivision must
+        # stop at its budget and report every regime undecided, never passed
+        monkeypatch.setattr("holdercert.holder.f_iv", lambda x: Interval(-10.0, 10.0))
+        results = check_envelope(2.0, 16)
+        verdicts = {r.check_id: r.verdict for r in results}
+        assert verdicts == {
+            "P2.3/regime1": UNDECIDED,
+            "P2.3/regime2": UNDECIDED,
+            "P2.3/regime3": UNDECIDED,
+            "P2.3/concavity": PASSED,
+        }
+        assert all(r.margin < 0.0 for r in results[:3])
+
+
+class TestSubdivide:
+    BOXES = [Interval(0.0, 1.0), Interval(1.0, 3.0)]
+
+    @staticmethod
+    def _assert_tiles(leaves, lo, hi):
+        leaves = sorted(leaves, key=lambda b: b.lo)
+        assert leaves[0].lo == lo and leaves[-1].hi == hi
+        assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
+
+    def test_provable_margin_tiles_the_boxes(self):
+        out = list(subdivide(lambda box: 0.3 - box.width, self.BOXES, 1000))
+        assert all(m > 0.0 for _, m in out)
+        assert all(leaf.width < 0.3 for leaf, _ in out)
+        self._assert_tiles([leaf for leaf, _ in out], 0.0, 3.0)
+
+    def test_unprovable_margin_stops_at_budget(self):
+        calls = []
+
+        def never(box):
+            calls.append(box)
+            return -1.0
+
+        out = list(subdivide(never, self.BOXES, 10))
+        # budget - 1 splits, each adding one leaf; every box evaluated once
+        assert len(out) == len(self.BOXES) + 9
+        assert len(calls) == len(self.BOXES) + 2 * 9
+        assert all(m == -1.0 for _, m in out)
+        self._assert_tiles([leaf for leaf, _ in out], 0.0, 3.0)
+
+    def test_unsplittable_box_is_a_leaf(self):
+        tight = Interval(1.0, math.nextafter(1.0, 2.0))
+        assert list(subdivide(lambda box: -1.0, [tight], 1000)) == [(tight, -1.0)]
 
 
 class TestNesting:

@@ -16,7 +16,7 @@ from holdercert.optimizer import (
     interval_sup,
     spot_check_max,
 )
-from holdercert.roots import find_alpha
+from holdercert.roots import N_MAX, find_alpha
 
 SQRT2 = math.sqrt(2.0)
 
@@ -178,6 +178,15 @@ class TestGlobalSup:
             global_sup(5, grid_resolution=8)
         with pytest.raises(ConfigError):
             global_sup(5, alpha_exp=0.9)
+
+    def test_last_piece_needs_a_certified_root(self, monkeypatch):
+        # J_N reads alpha_{N+1}, so N = N_MAX is rejected before any search
+        def fail(*args):
+            raise AssertionError("a piece was searched")
+
+        monkeypatch.setattr("holdercert.optimizer._piece_sup", fail)
+        with pytest.raises(ConfigError, match="n_intervals"):
+            global_sup(N_MAX)
 
 
 class TestReductionSoundness:

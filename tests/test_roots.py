@@ -203,6 +203,16 @@ class TestCubicOvershoot:
         results = check_cubic_overshoot()
         assert [r.verdict for r in results] == [PASSED, PASSED]
 
+    def test_undecided_box_raises(self, monkeypatch):
+        # a zero-straddling enclosure is bisected down to float resolution
+        monkeypatch.setattr("holdercert.roots._overshoot_iv", lambda t: Interval(-1.0, 1.0))
+        with pytest.raises(CertificationFailure, match="lemma 1.5"):
+            check_cubic_overshoot()
+        # and within a small budget it fails at the budget instead
+        monkeypatch.setattr("holdercert.roots.SUBDIVISION_BUDGET", 4)
+        with pytest.raises(CertificationFailure, match="lemma 1.5"):
+            check_cubic_overshoot()
+
     def test_point_values(self):
         # direct evaluations (mpmath oracle)
         p = lambda t: math.sin(t) - t * math.cos(t) - t**3 / 3.0
