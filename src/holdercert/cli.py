@@ -1,8 +1,8 @@
 """Command-line surface: verify | roots | constants | norm | landscape.
 
-Exit codes: 0 success (verify: all checks passed), 1 check failure,
-2 configuration or I/O error.  Identical flags produce byte-identical
-output files.
+Exit codes: 0 success (verify: every check passed), 1 a check failed or
+stayed undecided, 2 configuration or I/O error.  Identical flags produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 
 from . import __version__
-from .constants import c_n
+from .constants import ConstantsRow, c_n
 from .holder import f, piece_bounds
 from .optimizer import ConfigError, global_sup
 from .report import (
@@ -40,14 +41,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n-max must be in [1, {N_MAX - 1}], got {args.n_max}")
     report = run_verification(n_max=args.n_max)
     report.config["format"] = args.format
-    report.config["strict"] = args.strict
     text = report_to_json(report) if args.format == "json" else report_to_markdown(report)
     _emit(text, args.out)
-    if not report.ok:
-        return 1
-    if args.strict and not report.strict_ok:
-        return 1
-    return 0
+    return 0 if report.ok else 1
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -70,13 +66,9 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_constants(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= N_MAX - 1:  # row n reads alpha_{n+1}
         raise ConfigError(f"--n must be in [1, {N_MAX - 1}], got {args.n}")
-    lines = ["n alpha_n alpha_np1 delta i_closed i_quad g f_factor c"]
+    lines = [" ".join(fl.name for fl in fields(ConstantsRow))]
     for n in range(1, args.n + 1):
-        r = c_n(n)
-        lines.append(
-            f"{r.n} {r.alpha_n!r} {r.alpha_np1!r} {r.delta!r} {r.i_closed!r} "
-            f"{r.i_quad!r} {r.g!r} {r.f_factor!r} {r.c!r}"
-        )
+        lines.append(" ".join(repr(v) for v in astuple(c_n(n))))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -118,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--strict", action="store_true", help="undecided counts as failure")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("roots", help="certified roots alpha_n and angles theta_n")

@@ -214,6 +214,8 @@ def tail_constant_certificate() -> list[CheckResult]:
     """
     p = Interval.point(84.22)
     one_over_p = 1 / p
+    # 0.12 enters tail/G as an upper bound and the double 0.12 lies below it
+    r = Interval(0.12, iv._up(0.12))
     results = [
         certified_above_decimal(
             "tail/12pi2",
@@ -236,7 +238,7 @@ def tail_constant_certificate() -> list[CheckResult]:
             "Tail: (pi/2)(1 + 1/84.22)^3 (1 + 0.12 + 0.12^2/5) < 1.83",
             (PI / 2)
             * (1 + one_over_p) ** 3
-            * (1 + Interval.point(0.12) + Interval.point(0.12) ** 2 / 5),
+            * (1 + r + r**2 / 5),
             "1.83",
         ),
         certified_below_decimal(

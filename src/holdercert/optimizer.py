@@ -12,6 +12,7 @@ while preserving the image gap.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,8 @@ def critical_pair(n: int, x_cap: float = 8.0) -> QuotientRecord | None:
     return quotient(best[0], best[1], provenance="newton")
 
 
-def _grid_scan(lo: float, hi: float, points: int, alpha_exp: float) -> tuple[float, float, float]:
-    """Best quotient over a points x points grid (upper triangle)."""
+def _grid_scan(lo: float, hi: float, points: int, alpha_exp: float) -> tuple[float, float]:
+    """Best pair over a points x points grid (upper triangle)."""
     xs = np.linspace(lo, hi, points)
     fv = xs * np.sin(1.0 / xs)
     best_q, best_x, best_y = -1.0, lo, hi
@@ -130,7 +131,7 @@ def _grid_scan(lo: float, hi: float, points: int, alpha_exp: float) -> tuple[flo
         j = int(np.argmax(vals))
         if vals[j] > best_q:
             best_q, best_x, best_y = float(vals[j]), float(xs[i]), float(xs[i + 1 + j])
-    return best_q, best_x, best_y
+    return best_x, best_y
 
 
 def _coordinate_descent(
@@ -161,21 +162,13 @@ def _coordinate_descent(
 def _piece_sup(
     n: int, grid_resolution: int, x_cap: float, alpha_exp: float
 ) -> tuple[float, QuotientRecord]:
-    """Max of the quotient over one piece: endpoint pair, stationary pair,
-    grid sweep refined by coordinate descent."""
+    """Max of the quotient over one piece: grid sweep refined by
+    coordinate descent."""
     lo, hi = piece_bounds(n, x_cap)
-    candidates: list[QuotientRecord] = []
-    if n >= 1:
-        candidates.append(quotient(lo, hi, alpha_exp, provenance="boundary"))
-    if alpha_exp == 0.5:
-        rec = critical_pair(n, x_cap)
-        if rec is not None:
-            candidates.append(rec)
-    gq, gx, gy = _grid_scan(lo, hi, grid_resolution, alpha_exp)
+    gx, gy = _grid_scan(lo, hi, grid_resolution, alpha_exp)
     spacing = (hi - lo) / (grid_resolution - 1)
     rx, ry = _coordinate_descent(gx, gy, lo, hi, spacing, alpha_exp)
-    candidates.append(quotient(rx, ry, alpha_exp, provenance="grid"))
-    best = max(candidates, key=lambda r: (r.q, -r.x, -r.y))
+    best = quotient(rx, ry, alpha_exp, provenance="grid")
     return best.q, best
 
 
@@ -281,9 +274,7 @@ def global_sup(
         ((n, s, a) for n, s, a in per_interval),
         key=lambda t: (-t[1], t[0], t[2].x, t[2].y),
     )
-    breakdown: dict[str, int] = {"grid": 0, "newton": 0, "boundary": 0}
-    for _, _, arg in per_interval:
-        breakdown[arg.provenance] += 1
+    breakdown = dict(Counter(arg.provenance for _, _, arg in per_interval))
 
     if alpha_exp == 0.5:
         tail = tail_constant_certificate() + _far_pair_certificates()

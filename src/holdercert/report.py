@@ -8,7 +8,7 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from . import __version__
 from .checklist import check_proposition_inequalities
@@ -49,10 +49,6 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.summary["failed"] == 0
-
-    @property
-    def strict_ok(self) -> bool:
         s = self.summary
         return s["failed"] == 0 and s["undecided"] == 0
 
@@ -94,36 +90,12 @@ def _check_dict(c: CheckResult) -> dict:
     return {"id": c.check_id, "anchor": c.anchor, "verdict": c.verdict, "margin": c.margin}
 
 
-def _row_dict(r: ConstantsRow) -> dict:
-    return {
-        "n": r.n,
-        "alpha_n": r.alpha_n,
-        "alpha_np1": r.alpha_np1,
-        "delta": r.delta,
-        "i_closed": r.i_closed,
-        "i_quad": r.i_quad,
-        "g": r.g,
-        "f_factor": r.f_factor,
-        "c": r.c,
-    }
-
-
 def supremum_dict(s: SupremumReport) -> dict:
-    def rec(q) -> dict:
-        return {
-            "x": q.x,
-            "y": q.y,
-            "alpha_exp": q.alpha_exp,
-            "q": q.q,
-            "interval_index": q.interval_index,
-            "provenance": q.provenance,
-        }
-
     return {
         "alpha_exp": s.alpha_exp,
         "sup_estimate": s.sup_estimate,
-        "arg": rec(s.arg),
-        "per_interval": [{"n": n, "sup": v, "arg": rec(a)} for n, v, a in s.per_interval],
+        "arg": asdict(s.arg),
+        "per_interval": [{"n": n, "sup": v, "arg": asdict(a)} for n, v, a in s.per_interval],
         "method_breakdown": s.method_breakdown,
         "bound_certificate": s.bound_certificate,
         "tail_checks": [_check_dict(c) for c in s.tail_checks],
@@ -135,7 +107,7 @@ def report_to_dict(r: VerificationReport) -> dict:
         "tool_version": r.tool_version,
         "config": r.config,
         "checks": [_check_dict(c) for c in r.checks],
-        "constants_table": [_row_dict(row) for row in r.constants_table],
+        "constants_table": [asdict(row) for row in r.constants_table],
         "summary": r.summary,
     }
 
@@ -180,8 +152,5 @@ def report_to_markdown(r: VerificationReport) -> str:
             "|---|---|---|---|---|---|---|---|---|",
         ]
         for row in r.constants_table:
-            lines.append(
-                f"| {row.n} | {row.alpha_n!r} | {row.alpha_np1!r} | {row.delta!r} "
-                f"| {row.i_closed!r} | {row.i_quad!r} | {row.g!r} | {row.f_factor!r} | {row.c!r} |"
-            )
+            lines.append("| " + " | ".join(repr(v) for v in astuple(row)) + " |")
     return "\n".join(lines) + "\n"

@@ -86,8 +86,12 @@ class TestVerify:
             constants_table=[],
         )
         monkeypatch.setattr("holdercert.cli.run_verification", lambda n_max: undecided)
-        assert main(["verify", "--out", str(tmp_path / "r.json")]) == 0
-        assert main(["verify", "--strict", "--out", str(tmp_path / "r2.json")]) == 1
+        # undecided fails the run by default; --strict is not an option
+        assert main(["verify", "--out", str(tmp_path / "r.json")]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--strict", "--out", str(tmp_path / "r2.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r2.json").exists()
 
     @pytest.mark.parametrize("n_max", ["0", "-3", "10000", "10001"])
     def test_n_max_out_of_range_exit_two(self, n_max, monkeypatch, capsys):

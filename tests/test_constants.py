@@ -3,9 +3,11 @@ constants suite.  Frozen values are from 60-digit mpmath evaluation."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from holdercert import constants
 from holdercert.checks import PASSED
 from holdercert.constants import (
     c_n,
@@ -123,3 +125,25 @@ class TestCertifiedSuite:
         assert all(r.verdict == PASSED for r in results)
         assert tail_sqrt_c_bound() == pytest.approx(math.sqrt(1.83012), rel=1e-12)
         assert tail_sqrt_c_bound() < math.sqrt(2.0)
+
+    def test_tail_enclosures_hold_the_exact_decimals(self, monkeypatch):
+        # each certified upper end lies at or above the 50-digit value of its
+        # expression with 84.22 and 0.12 taken as exact decimals
+        lhs = {}
+        real = constants.certified_below_decimal
+
+        def capture(check_id, anchor, value, threshold):
+            lhs[check_id] = value
+            return real(check_id, anchor, value, threshold)
+
+        monkeypatch.setattr(constants, "certified_below_decimal", capture)
+        tail_constant_certificate()
+        with mp.workdps(50):
+            p, r = mp.mpf("84.22"), mp.mpf("0.12")
+            exact = {
+                "tail/ratio": mp.pi**2 * (1 + 1 / p) ** 2 / p,
+                "tail/G": (mp.pi / 2) * (1 + 1 / p) ** 3 * (1 + r + r**2 / 5),
+                "tail/corr": (mp.pi / 4) / p**2 * (1 + 1 / p) ** 2 * (1 + 2 / p),
+            }
+            for check_id, value in exact.items():
+                assert value <= mp.mpf(lhs[check_id].hi), check_id

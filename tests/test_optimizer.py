@@ -7,9 +7,10 @@ import math
 import pytest
 
 from holdercert.checks import PASSED
-from holdercert.holder import df, f, quotient, remap
+from holdercert.holder import df, f, piece_bounds, quotient, remap
 from holdercert.optimizer import (
     ConfigError,
+    _piece_sup,
     brute_grid_oracle,
     critical_pair,
     global_sup,
@@ -111,6 +112,22 @@ class TestIntervalSup:
             interval_sup(0)
         with pytest.raises(ConfigError):
             interval_sup(1, 32)
+
+
+class TestSearchDominates:
+    """Grid sweep + coordinate descent is never beaten by the stationary
+    pair or by the endpoint pair of the piece (ties count)."""
+
+    @pytest.mark.parametrize("x_cap", [8.0, 4.0 / math.pi])
+    @pytest.mark.parametrize("resolution", [64, 512])
+    def test_search_dominates_stationary_and_endpoint_pairs(self, resolution, x_cap):
+        for n in range(21):
+            q, _ = _piece_sup(n, resolution, x_cap, 0.5)
+            rec = critical_pair(n, x_cap)
+            if rec is not None:
+                assert q >= rec.q, n
+            if n >= 1:
+                assert q >= quotient(*piece_bounds(n, x_cap)).q, n
 
 
 class TestBoundaryExclusion:
