@@ -31,6 +31,7 @@ class ConfigError(Exception):
 
 STATIONARY_TOL = 1e-12
 ORACLE_RESOLUTION_CAP = 2**14
+_SWEEP_BLOCK_POINTS = 2**17  # grid points per sweep block: bounds its working memory
 
 
 def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, float, float] | None:
@@ -120,56 +121,75 @@ def critical_pair(n: int, x_cap: float = 8.0) -> QuotientRecord | None:
     return quotient(best[0], best[1], provenance="newton")
 
 
-def _grid_scan(lo: float, hi: float, points: int, alpha_exp: float) -> tuple[float, float]:
-    """Best pair over a points x points grid (upper triangle)."""
-    xs = np.linspace(lo, hi, points)
-    fv = xs * np.sin(1.0 / xs)
-    best_q, best_x, best_y = -1.0, lo, hi
-    for i in range(points - 1):
-        d = xs[i + 1 :] - xs[i]
-        vals = np.abs(fv[i + 1 :] - fv[i]) / d**alpha_exp
-        j = int(np.argmax(vals))
-        if vals[j] > best_q:
-            best_q, best_x, best_y = float(vals[j]), float(xs[i]), float(xs[i + 1 + j])
-    return best_x, best_y
+def _grid_sweep(
+    bounds: list[tuple[float, float]], points: int, alpha_exp: float
+) -> list[tuple[float, float]]:
+    """Best pair of each piece's points x points grid (upper triangle).
+
+    One row loop serves a block of pieces at once.  Per piece it is a
+    row-by-row scan: the first maximal column of a row, and a later row
+    only when strictly better, so ties go to the first pair.
+    """
+    starts: list[tuple[float, float]] = []
+    block = max(1, _SWEEP_BLOCK_POINTS // points)
+    for b in range(0, len(bounds), block):
+        grids = [np.linspace(lo, hi, points) for lo, hi in bounds[b : b + block]]
+        xs = np.stack(grids)
+        fv = np.stack([g * np.sin(1.0 / g) for g in grids])
+        rows = np.arange(len(grids))
+        best_q = np.full(rows.size, -1.0)
+        best_x, best_y = np.array(bounds[b : b + block]).T.copy()  # a NaN grid keeps its ends
+        for i in range(points - 1):
+            d = xs[:, i + 1 :] - xs[:, i, None]
+            vals = np.abs(fv[:, i + 1 :] - fv[:, i, None]) / d**alpha_exp
+            j = vals.argmax(axis=1)
+            q = vals[rows, j]
+            better = q > best_q
+            best_q[better] = q[better]
+            best_x[better] = xs[better, i]
+            best_y[better] = xs[rows, i + 1 + j][better]
+        starts += zip(best_x.tolist(), best_y.tolist())
+    return starts
 
 
 def _coordinate_descent(
     x: float, y: float, lo: float, hi: float, h0: float, alpha_exp: float
 ) -> tuple[float, float]:
-    """Deterministic alternating 1-D refinement of a quotient maximizer."""
+    """Deterministic alternating 1-D refinement of a quotient maximizer.
 
-    def q_of(px: float, py: float) -> float:
-        if not (lo <= px < py <= hi):
-            return -1.0
-        return abs(f(py) - f(px)) / (py - px) ** alpha_exp
-
+    A probe moves one coordinate, so f is evaluated only there; the other
+    coordinate's value is carried.  The first maximal probe wins, and a
+    coordinate whose probes all leave the box stays.
+    """
+    fx, fy = f(x), f(y)
     h = h0
     for _ in range(50):
         for axis in (0, 1):
-            base = x if axis == 0 else y
-            grid = [base + h * (k - 8) / 8.0 for k in range(17)]
-            vals = [q_of(g, y) if axis == 0 else q_of(x, g) for g in grid]
-            k = max(range(17), key=lambda i: vals[i])
-            if axis == 0:
-                x = grid[k] if vals[k] >= 0 else x
-            else:
-                y = grid[k] if vals[k] >= 0 else y
+            base, fbase, other, fother = (x, fx, y, fy) if axis == 0 else (y, fy, x, fx)
+            best_q, best_g, best_fg = -1.0, base, fbase
+            for k in range(17):
+                g = base + h * (k - 8) / 8.0
+                px, py = (g, other) if axis == 0 else (other, g)
+                if lo <= px < py <= hi:
+                    fg = fbase if k == 8 else f(g)  # probe 8 is the base point
+                    q = abs(fother - fg) / (py - px) ** alpha_exp
+                    if q > best_q:
+                        best_q, best_g, best_fg = q, g, fg
+            x, fx, y, fy = (best_g, best_fg, y, fy) if axis == 0 else (x, fx, best_g, best_fg)
         h *= 0.5
     return x, y
 
 
-def _piece_sup(
-    n: int, grid_resolution: int, x_cap: float, alpha_exp: float
-) -> tuple[float, QuotientRecord]:
-    """Max of the quotient over one piece: grid sweep refined by
-    coordinate descent."""
-    lo, hi = piece_bounds(n, x_cap)
-    gx, gy = _grid_scan(lo, hi, grid_resolution, alpha_exp)
-    spacing = (hi - lo) / (grid_resolution - 1)
-    rx, ry = _coordinate_descent(gx, gy, lo, hi, spacing, alpha_exp)
-    best = quotient(rx, ry, alpha_exp, provenance="grid")
-    return best.q, best
+def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float) -> list[QuotientRecord]:
+    """Max of the quotient over each piece J_n, n in ns: one grid sweep
+    for all pieces, then coordinate descent per piece."""
+    bounds = [piece_bounds(n, x_cap) for n in ns]
+    records = []
+    for (lo, hi), (gx, gy) in zip(bounds, _grid_sweep(bounds, grid_resolution, alpha_exp)):
+        spacing = (hi - lo) / (grid_resolution - 1)
+        rx, ry = _coordinate_descent(gx, gy, lo, hi, spacing, alpha_exp)
+        records.append(quotient(rx, ry, alpha_exp, provenance="grid"))
+    return records
 
 
 def interval_sup(n: int, grid_resolution: int = 512) -> tuple[float, QuotientRecord]:
@@ -178,7 +198,8 @@ def interval_sup(n: int, grid_resolution: int = 512) -> tuple[float, QuotientRec
         raise ConfigError(f"interval_sup needs n >= 1, got {n}")
     if grid_resolution < 64:
         raise ConfigError(f"grid_resolution must be >= 64, got {grid_resolution}")
-    return _piece_sup(n, grid_resolution, 8.0, 0.5)
+    best = _piece_sups(range(n, n + 1), grid_resolution, 8.0, 0.5)[0]
+    return best.q, best
 
 
 def brute_grid_oracle(
@@ -263,12 +284,8 @@ def global_sup(
     if not 0.0 < alpha_exp <= 0.5:
         raise ConfigError(f"alpha_exp must lie in (0, 1/2], got {alpha_exp!r}")
 
-    per_interval: list[tuple[int, float, QuotientRecord]] = []
-    sup_j0, arg_j0 = _piece_sup(0, grid_resolution, x_cap, alpha_exp)
-    per_interval.append((0, sup_j0, arg_j0))
-    for n in range(1, n_intervals + 1):
-        sup_n, arg_n = _piece_sup(n, grid_resolution, x_cap, alpha_exp)
-        per_interval.append((n, sup_n, arg_n))
+    records = _piece_sups(range(n_intervals + 1), grid_resolution, x_cap, alpha_exp)
+    per_interval = [(n, rec.q, rec) for n, rec in enumerate(records)]
 
     best_n, best_sup, best_arg = min(
         ((n, s, a) for n, s, a in per_interval),

@@ -211,7 +211,9 @@ class TestNorm:
         def fail(*args):
             raise AssertionError("search ran for an out-of-range --n")
 
-        monkeypatch.setattr("holdercert.optimizer._piece_sup", fail)
+        monkeypatch.setattr("holdercert.optimizer._piece_sups", fail)
+        with pytest.raises(AssertionError, match="search ran"):
+            main(["norm", "--n", "1", "--resolution", "64"])  # entry point is live
         assert main(["norm", "--n", "10000"]) == 2
         assert "n_intervals" in capsys.readouterr().err
 

@@ -4,13 +4,17 @@ root finding on the stationarity system."""
 
 import math
 
+import numpy as np
 import pytest
 
+import holdercert.optimizer as opt
 from holdercert.checks import PASSED
 from holdercert.holder import df, f, piece_bounds, quotient, remap
 from holdercert.optimizer import (
     ConfigError,
-    _piece_sup,
+    _coordinate_descent,
+    _grid_sweep,
+    _piece_sups,
     brute_grid_oracle,
     critical_pair,
     global_sup,
@@ -121,13 +125,106 @@ class TestSearchDominates:
     @pytest.mark.parametrize("x_cap", [8.0, 4.0 / math.pi])
     @pytest.mark.parametrize("resolution", [64, 512])
     def test_search_dominates_stationary_and_endpoint_pairs(self, resolution, x_cap):
-        for n in range(21):
-            q, _ = _piece_sup(n, resolution, x_cap, 0.5)
+        for n, best in enumerate(_piece_sups(range(21), resolution, x_cap, 0.5)):
+            q = best.q
             rec = critical_pair(n, x_cap)
             if rec is not None:
                 assert q >= rec.q, n
             if n >= 1:
                 assert q >= quotient(*piece_bounds(n, x_cap)).q, n
+
+
+# -- the per-piece search as it was before batching, kept as the reference ----
+
+
+def _grid_scan_ref(lo: float, hi: float, points: int, alpha_exp: float) -> tuple[float, float]:
+    xs = np.linspace(lo, hi, points)
+    fv = xs * np.sin(1.0 / xs)
+    best_q, best_x, best_y = -1.0, lo, hi
+    for i in range(points - 1):
+        d = xs[i + 1 :] - xs[i]
+        vals = np.abs(fv[i + 1 :] - fv[i]) / d**alpha_exp
+        j = int(np.argmax(vals))
+        if vals[j] > best_q:
+            best_q, best_x, best_y = float(vals[j]), float(xs[i]), float(xs[i + 1 + j])
+    return best_x, best_y
+
+
+def _coordinate_descent_ref(
+    x: float, y: float, lo: float, hi: float, h0: float, alpha_exp: float
+) -> tuple[float, float]:
+    def q_of(px: float, py: float) -> float:
+        if not (lo <= px < py <= hi):
+            return -1.0
+        return abs(f(py) - f(px)) / (py - px) ** alpha_exp
+
+    h = h0
+    for _ in range(50):
+        for axis in (0, 1):
+            base = x if axis == 0 else y
+            grid = [base + h * (k - 8) / 8.0 for k in range(17)]
+            vals = [q_of(g, y) if axis == 0 else q_of(x, g) for g in grid]
+            k = max(range(17), key=lambda i: vals[i])
+            if axis == 0:
+                x = grid[k] if vals[k] >= 0 else x
+            else:
+                y = grid[k] if vals[k] >= 0 else y
+        h *= 0.5
+    return x, y
+
+
+def _assert_search_matches_reference(bounds, resolution, alpha_exp):
+    starts = _grid_sweep(bounds, resolution, alpha_exp)
+    assert len(starts) == len(bounds)
+    for (lo, hi), (gx, gy) in zip(bounds, starts):
+        assert (gx, gy) == _grid_scan_ref(lo, hi, resolution, alpha_exp), (lo, hi)
+        h = (hi - lo) / (resolution - 1)
+        got = _coordinate_descent(gx, gy, lo, hi, h, alpha_exp)
+        assert got == _coordinate_descent_ref(gx, gy, lo, hi, h, alpha_exp), (lo, hi)
+
+
+class TestBatchedSearchReference:
+    """The batched grid sweep gives every piece the start pair of the
+    per-piece scan, and the cached descent the pair of the uncached one,
+    bit for bit."""
+
+    @pytest.mark.parametrize("resolution", [64, 512])
+    @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.25])
+    @pytest.mark.parametrize("x_cap", [4.0 / math.pi, 8.0, 50.0])
+    def test_pieces_match_reference(self, x_cap, alpha_exp, resolution):
+        bounds = [piece_bounds(n, x_cap) for n in range(31)]
+        _assert_search_matches_reference(bounds, resolution, alpha_exp)
+
+    @pytest.mark.parametrize("alpha_exp", [0.5, 0.35])
+    def test_split_across_blocks(self, monkeypatch, alpha_exp):
+        monkeypatch.setattr(opt, "_SWEEP_BLOCK_POINTS", 3 * 64)  # 3 pieces per block
+        bounds = [piece_bounds(n, 8.0) for n in range(31)]
+        _assert_search_matches_reference(bounds, 64, alpha_exp)
+
+    def test_flat_pieces_tie_to_the_first_pair(self):
+        # far out f rounds to 1.0 or its lower neighbour: quotients tie
+        bounds = [(1e8, 2e8), (1e12, 3e12), (5e15, 6e15)]
+        for alpha_exp in (0.5, 0.25):
+            _assert_search_matches_reference(bounds, 64, alpha_exp)
+
+    def test_nan_grid_keeps_the_piece_ends(self):
+        # an infinite end makes the grid NaN; no quotient beats -1
+        with np.errstate(invalid="ignore"):
+            _assert_search_matches_reference([(0.5, math.inf), (0.2, 0.3)], 64, 0.5)
+
+    def test_descent_evaluates_f_only_at_the_moving_coordinate(self, monkeypatch):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        monkeypatch.setattr(opt, "f", counted)
+        _piece_sups(range(11), 64, 8.0, 0.5)
+        # 2 start values, then at most 16 probes (probe 8 is the base
+        # point) per axis per round, 100 axis moves
+        assert calls <= 11 * (2 + 100 * 16)
 
 
 class TestBoundaryExclusion:
@@ -201,7 +298,9 @@ class TestGlobalSup:
         def fail(*args):
             raise AssertionError("a piece was searched")
 
-        monkeypatch.setattr("holdercert.optimizer._piece_sup", fail)
+        monkeypatch.setattr("holdercert.optimizer._piece_sups", fail)
+        with pytest.raises(AssertionError, match="searched"):
+            global_sup(1)  # the patched entry point is on the search path
         with pytest.raises(ConfigError, match="n_intervals"):
             global_sup(N_MAX)
 
