@@ -51,8 +51,10 @@ _FUNCTIONS = {
 
 def _eval_node(node: ast.expr) -> Interval:
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
+        if isinstance(node.value, int) and not isinstance(node.value, bool):
             return Interval.point(float(node.value))
+        if isinstance(node.value, float):  # the decimal lies within half an ulp of this double
+            return Interval(iv._down(node.value), iv._up(node.value))
         raise ChecklistError(f"unsupported literal {node.value!r}")
     if isinstance(node, ast.Name):
         if node.id == "pi":

@@ -19,6 +19,7 @@ from .interval import Interval, Verdict, cert_positive
 PASSED = "passed"
 FAILED = "failed"
 UNDECIDED = "undecided"
+SUBDIVISION_BUDGET = 1_000_000  # boxes one box proof may process
 
 
 @dataclass(frozen=True)

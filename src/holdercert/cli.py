@@ -85,6 +85,8 @@ def cmd_norm(args: argparse.Namespace) -> int:
 
 
 def cmd_landscape(args: argparse.Namespace) -> int:
+    if not np.isfinite(args.x_cap):
+        raise ConfigError(f"x_cap must be finite, got {args.x_cap!r}")
     lo, hi = piece_bounds(args.n, args.x_cap)
     xs = np.linspace(lo, hi, args.resolution).tolist()
     fv = [f(x) for x in xs]

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import interval as iv
 from .checks import (
+    SUBDIVISION_BUDGET,
     CheckResult,
     FAILED,
     PASSED,
@@ -214,12 +215,7 @@ def wirtinger_equality_case(tol: float = 1e-9, a: float = 0.0, b: float = 1.0) -
 _STRIP = 1e-3  # mean-value strip at the left edge, discharged analytically
 
 
-def _envelope_boxes(lo: float, hi: float, samples: int) -> list[Interval]:
-    edges = np.linspace(lo, hi, samples + 1)
-    return [Interval(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def check_envelope(x_max: float = 8.0, samples: int = 10_000) -> list[CheckResult]:
+def check_envelope(x_max: float = 8.0) -> list[CheckResult]:
     """Certify f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, x_max], three regimes,
     plus concavity of f there (f'' <= 0, i.e. sin(1/x) >= 0).
 
@@ -247,9 +243,12 @@ def check_envelope(x_max: float = 8.0, samples: int = 10_000) -> list[CheckResul
         analytic_pass("P2.3/strip-identity", "f(1/pi) = sin(pi)/pi = 0 exactly"),
     )
 
-    # regime edges (floats; regime membership only routes reporting)
+    # regime edges (floats, routing reports only); one start box per regime, so no leaf straddles an edge
     e1 = 1.0 / math.pi + 2.0 / math.pi**2
     e2 = 1.0 / math.pi + 0.5
+    lo = inv_pi.hi + _STRIP
+    cuts = [lo, *(e for e in (e1, e2) if lo < e < x_max), x_max]
+    boxes = [Interval(a, b) for a, b in zip(cuts, cuts[1:])]
     regime_margin = [math.inf, math.inf, math.inf]
     regime_verdict = [PASSED, PASSED, PASSED]
 
@@ -257,9 +256,7 @@ def check_envelope(x_max: float = 8.0, samples: int = 10_000) -> list[CheckResul
         rhs = iv.sqrt((Interval.point(box.lo) - inv_pi) * 2)
         return (rhs - f_iv(box)).lo
 
-    budget = 16 * samples
-    boxes = _envelope_boxes(inv_pi.hi + _STRIP, x_max, samples)
-    for leaf, margin in subdivide(envelope_margin, boxes, budget):
+    for leaf, margin in subdivide(envelope_margin, boxes, SUBDIVISION_BUDGET):
         regime = 0 if leaf.lo < e1 else (1 if leaf.lo < e2 else 2)
         regime_margin[regime] = min(regime_margin[regime], margin)
         if not margin > 0.0:
@@ -290,8 +287,7 @@ def check_envelope(x_max: float = 8.0, samples: int = 10_000) -> list[CheckResul
     # the sub-ulp edge [1/pi, (1/pi).hi] holds since x >= 1/pi <=> 1/x <= pi
     conc_verdict = PASSED
     conc_margin = math.inf
-    boxes = _envelope_boxes(inv_pi.hi, x_max, max(64, samples // 10))
-    for leaf, margin in subdivide(lambda box: iv.sin(1 / box).lo, boxes, budget):
+    for _, margin in subdivide(lambda box: iv.sin(1 / box).lo, [Interval(inv_pi.hi, x_max)], SUBDIVISION_BUDGET):
         conc_margin = min(conc_margin, margin)
         if not margin > 0.0:
             conc_verdict = UNDECIDED

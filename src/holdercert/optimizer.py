@@ -277,8 +277,8 @@ def global_sup(
     """
     if not 1 <= n_intervals <= N_MAX - 1:  # J_N reads alpha_{N+1}
         raise ConfigError(f"n_intervals must be in [1, {N_MAX - 1}], got {n_intervals}")
-    if x_cap < 4.0 / math.pi:
-        raise ConfigError(f"x_cap must be >= 4/pi, got {x_cap!r}")
+    if not 4.0 / math.pi <= x_cap < math.inf:  # also rejects NaN
+        raise ConfigError(f"x_cap must be finite and >= 4/pi, got {x_cap!r}")
     if grid_resolution < 64:
         raise ConfigError(f"grid_resolution must be >= 64, got {grid_resolution}")
     if not 0.0 < alpha_exp <= 0.5:

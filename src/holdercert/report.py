@@ -29,7 +29,6 @@ from .roots import (
 )
 
 ENVELOPE_X_MAX = 8.0
-ENVELOPE_SAMPLES = 10_000
 WIRTINGER_N = 50
 
 
@@ -66,7 +65,7 @@ def run_verification(n_max: int = 200) -> VerificationReport:
     checks.append(wirtinger_equality_case())
     for n in range(1, min(n_max, WIRTINGER_N) + 1):
         checks.append(wirtinger_for_interval(n))
-    checks.extend(check_envelope(ENVELOPE_X_MAX, ENVELOPE_SAMPLES))
+    checks.extend(check_envelope(ENVELOPE_X_MAX))
     checks.extend(check_nesting(n_max))
     checks.extend(check_proposition_inequalities())
     table = [c_n(n) for n in range(1, n_max + 1)]
@@ -75,7 +74,6 @@ def run_verification(n_max: int = 200) -> VerificationReport:
         config={
             "n_max": n_max,
             "envelope_x_max": ENVELOPE_X_MAX,
-            "envelope_samples": ENVELOPE_SAMPLES,
             "wirtinger_n": min(n_max, WIRTINGER_N),
         },
         checks=checks,

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from . import interval as iv
 from .checks import (
+    SUBDIVISION_BUDGET,
     CheckResult,
     analytic_pass,
     certified_chain,
@@ -36,7 +37,6 @@ from .interval import _HALF_PI_FRAC  # exact pi/2 for high-precision angle recov
 N_MAX = 10_000
 BRACKET_WIDTH_TARGET = 1e-12
 NEWTON_STEPS = 20
-SUBDIVISION_BUDGET = 1_000_000
 
 
 class CertificationFailure(Exception):

@@ -1,11 +1,15 @@
 """Checklist engine: the built-in corpus, file loading, and the evaluator."""
 
+import ast
+from fractions import Fraction
+
 import pytest
 
 from holdercert.checklist import (
     BUILTIN_CORPUS,
     ChecklistError,
     ChecklistItem,
+    _eval_node,
     builtin_checklist,
     check_proposition_inequalities,
     evaluate_item,
@@ -24,6 +28,20 @@ class TestBuiltinCorpus:
         for item in builtin_checklist():
             assert item.anchor.strip()
             assert "Prop" in item.anchor
+
+    def test_literals_enclose_their_decimals(self):
+        texts = set()
+        for item in builtin_checklist():
+            for node in ast.walk(ast.parse(item.expression, mode="eval")):
+                if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                    text = ast.get_source_segment(item.expression, node)
+                    box = _eval_node(node)
+                    assert Fraction(box.lo) <= Fraction(text) <= Fraction(box.hi), text
+                    texts.add(text)
+                elif isinstance(node, ast.Constant):
+                    assert _eval_node(node).width == 0.0  # integers stay points
+        # the literals whose doubles round above or below the decimal
+        assert {"0.1", "2.1", "2.6", "1.3", "2.7", "0.7", "1.2", "1.16", "1.9", "2.28"} <= texts
 
     def test_specific_margins(self):
         by_anchor = {r.anchor: r for r in check_proposition_inequalities()}

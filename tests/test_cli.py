@@ -218,6 +218,21 @@ class TestNorm:
         assert "n_intervals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x_cap", ["inf", "-inf", "nan"])
+def test_non_finite_x_cap_exit_two(x_cap, monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise AssertionError("work ran for a non-finite --x-cap")
+
+    monkeypatch.setattr("holdercert.optimizer._piece_sups", fail)
+    monkeypatch.setattr("holdercert.cli.piece_bounds", fail)
+    for command in (["norm", "--n", "2", "--resolution", "64"], ["landscape", "--n", "0"]):
+        out = tmp_path / "out.txt"
+        assert main([*command, f"--x-cap={x_cap}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "x_cap" in captured.err and captured.out == ""
+        assert not out.exists()
+
+
 class TestLandscape:
     def test_row_count_and_bound(self, tmp_path):
         out = tmp_path / "l.csv"

@@ -23,7 +23,7 @@ from holdercert.holder import (
     wirtinger_equality_case,
     wirtinger_for_interval,
 )
-from holdercert.interval import ArgumentTooLarge, DomainError, Interval
+from holdercert.interval import PI, ArgumentTooLarge, DomainError, Interval
 from holdercert.roots import find_alpha
 
 SQRT2 = math.sqrt(2.0)
@@ -142,8 +142,29 @@ class TestWirtinger:
 
 
 class TestEnvelope:
+    E1 = 1.0 / math.pi + 2.0 / math.pi**2
+    E2 = 1.0 / math.pi + 0.5
+    LO = (1 / PI).hi + 1e-3  # right end of the analytic strip
+
+    @staticmethod
+    def _start_and_leaves(monkeypatch, x_max):
+        """Run check_envelope(x_max); return its results and the envelope
+        loop's start boxes and leaves (the first subdivide call)."""
+        calls = []
+
+        def recording(margin, boxes, budget):
+            boxes = list(boxes)
+            leaves = list(subdivide(margin, boxes, budget))
+            calls.append((boxes, [leaf for leaf, _ in leaves]))
+            yield from leaves
+
+        monkeypatch.setattr("holdercert.holder.subdivide", recording)
+        results = check_envelope(x_max)
+        assert len(calls) == 2  # envelope, then concavity
+        return results, *calls[0]
+
     def test_all_pass(self):
-        results = check_envelope(8.0, 2000)
+        results = check_envelope()
         assert [r.check_id for r in results] == [
             "P2.3/regime1",
             "P2.3/regime2",
@@ -167,11 +188,40 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             check_envelope(1.0 / math.pi)
 
+    # 0.45 lies below the first regime edge: one start box, still four results
+    @pytest.mark.parametrize("x_max", [8.0, 2.0, 0.6, 0.45])
+    def test_start_boxes_are_the_regimes(self, monkeypatch, x_max):
+        results, start, leaves = self._start_and_leaves(monkeypatch, x_max)
+        assert len(results) == 4 and all(r.verdict == PASSED for r in results)
+        inside = [e for e in (self.E1, self.E2) if self.LO < e < x_max]
+        assert [(b.lo, b.hi) for b in start] == list(
+            zip([self.LO, *inside], [*inside, x_max])
+        )
+        leaves.sort(key=lambda b: b.lo)
+        assert leaves[0].lo == self.LO and leaves[-1].hi == x_max
+        assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
+        # every leaf lies in one regime, so routing by leaf.lo is exact
+        for leaf in leaves:
+            for e in (self.E1, self.E2):
+                assert leaf.hi <= e or leaf.lo >= e
+
+    def test_few_f_evaluations(self, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return f_iv(x)
+
+        monkeypatch.setattr("holdercert.holder.f_iv", counting)
+        assert all(r.verdict == PASSED for r in check_envelope(8.0))
+        assert len(calls) <= 64
+
     def test_unprovable_boxes_are_undecided(self, monkeypatch):
         # an enclosure of f too wide to prove anything: the subdivision must
         # stop at its budget and report every regime undecided, never passed
         monkeypatch.setattr("holdercert.holder.f_iv", lambda x: Interval(-10.0, 10.0))
-        results = check_envelope(2.0, 16)
+        monkeypatch.setattr("holdercert.holder.SUBDIVISION_BUDGET", 16)
+        results = check_envelope(2.0)
         verdicts = {r.check_id: r.verdict for r in results}
         assert verdicts == {
             "P2.3/regime1": UNDECIDED,
