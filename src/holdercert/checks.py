@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .interval import Interval, Verdict, cert_positive
+from .interval import Interval
 
 PASSED = "passed"
 FAILED = "failed"
@@ -40,19 +40,15 @@ class CheckResult:
         return self.verdict == PASSED
 
 
-def _verdict_of(diff: Interval) -> str:
-    v = cert_positive(diff)
-    if v is Verdict.PROVED_POSITIVE:
-        return PASSED
-    if v is Verdict.PROVED_NONPOSITIVE:
-        return FAILED
-    return UNDECIDED
+def certified_positive(check_id: str, anchor: str, x: Interval) -> CheckResult:
+    """Certify x > 0: passed iff x.lo > 0, failed iff x.hi <= 0; margin = x.lo."""
+    verdict = PASSED if x.lo > 0.0 else (FAILED if x.hi <= 0.0 else UNDECIDED)
+    return CheckResult(check_id, anchor, verdict, x.lo)
 
 
 def certified_less(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> CheckResult:
     """Certify the strict inequality lhs < rhs; margin = proven gap."""
-    diff = rhs - lhs
-    return CheckResult(check_id, anchor, _verdict_of(diff), diff.lo)
+    return certified_positive(check_id, anchor, rhs - lhs)
 
 
 def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult:

@@ -34,8 +34,6 @@ from .interval import PI, Interval
 from .quadrature import composite_simpson
 from .roots import alpha_interval, find_alpha
 
-DEFAULT_QUAD_TOL = 1e-12
-
 
 def _f_factor(a: float, b: float) -> float:
     return 1.0 + (a * b - 1.0) / ((1.0 + a * a) * (1.0 + b * b))
@@ -51,11 +49,11 @@ def i_n_closed(n: int) -> float:
     return (b**5 - a**5) / 10.0 + (b - a) / 4.0 * _f_factor(a, b)
 
 
-def i_n_quad(n: int, tol: float = DEFAULT_QUAD_TOL) -> float:
+def i_n_quad(n: int) -> float:
     """Quadrature oracle for I_n, independent of the closed form."""
     a = find_alpha(n).alpha
     b = find_alpha(n + 1).alpha
-    return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b, rel_tol=tol)
+    return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)

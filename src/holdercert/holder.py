@@ -24,19 +24,15 @@ from .checks import (
     UNDECIDED,
     analytic_pass,
     certified_less,
+    certified_positive,
     merge_results,
     subdivide,
 )
-from .interval import PI, DomainError, Interval, Verdict, cert_positive
+from .interval import PI, DomainError, Interval
 from .quadrature import composite_simpson
 from .roots import N_MAX, find_alpha, theta_interval, alpha_interval
 
 X_FLOOR = 1e-6  # interval forms need 1/x within the trig reduction budget
-
-
-class RemapFailure(Exception):
-    """A cross-interval pair could not be remapped; indicates a defect
-    in the root certificates rather than a property of f."""
 
 
 # -- f and derivatives ---------------------------------------------------------
@@ -81,11 +77,6 @@ def f_iv(x: Interval) -> Interval:
 def df_iv(x: Interval) -> Interval:
     t = _recip(x)
     return iv.sin(t) - t * iv.cos(t)
-
-
-def ddf_iv(x: Interval) -> Interval:
-    t = _recip(x)
-    return -(iv.sin(t) * t**3)
 
 
 # -- quotient records ----------------------------------------------------------
@@ -226,8 +217,11 @@ def check_envelope(x_max: float = 8.0) -> list[CheckResult]:
     the envelope is increasing, so max f over the box is compared with
     the envelope at the box's left edge.
     """
-    if x_max <= 1.0 / math.pi + 2.0 * _STRIP:
-        raise DomainError(f"x_max too small: {x_max!r}")
+    # regime edges (floats, routing reports only); one start box per regime, so no leaf straddles an edge
+    e1 = 1.0 / math.pi + 2.0 / math.pi**2
+    e2 = 1.0 / math.pi + 0.5
+    if not e2 < x_max < math.inf:  # every regime needs a proved box; also rejects NaN
+        raise DomainError(f"x_max must be finite and exceed 1/pi + 1/2, got {x_max!r}")
     inv_pi = 1 / PI
     strip_scalar = certified_less(
         "P2.3/strip-scalar",
@@ -243,12 +237,8 @@ def check_envelope(x_max: float = 8.0) -> list[CheckResult]:
         analytic_pass("P2.3/strip-identity", "f(1/pi) = sin(pi)/pi = 0 exactly"),
     )
 
-    # regime edges (floats, routing reports only); one start box per regime, so no leaf straddles an edge
-    e1 = 1.0 / math.pi + 2.0 / math.pi**2
-    e2 = 1.0 / math.pi + 0.5
     lo = inv_pi.hi + _STRIP
-    cuts = [lo, *(e for e in (e1, e2) if lo < e < x_max), x_max]
-    boxes = [Interval(a, b) for a, b in zip(cuts, cuts[1:])]
+    boxes = [Interval(lo, e1), Interval(e1, e2), Interval(e2, x_max)]
     regime_margin = [math.inf, math.inf, math.inf]
     regime_verdict = [PASSED, PASSED, PASSED]
 
@@ -314,13 +304,10 @@ def check_nesting(n_count: int) -> list[CheckResult]:
 
     def sign_check(n: int) -> CheckResult:
         img = f_iv(1 / alpha_interval(n))
-        signed = img if n % 2 == 0 else -img
-        verdict = PASSED if cert_positive(signed) is Verdict.PROVED_POSITIVE else UNDECIDED
-        return CheckResult(
+        return certified_positive(
             f"T2.4/sign[n={n}]",
             f"Thm 2.4 proof: f(1/alpha_n) has sign (-1)^n [n={n}]",
-            verdict,
-            signed.lo,
+            img if n % 2 == 0 else -img,
         )
 
     for n in range(1, n_count):
@@ -340,85 +327,3 @@ def check_nesting(n_count: int) -> list[CheckResult]:
         )
     results.append(sign_check(n_count))
     return results
-
-
-# -- monotone remap ------------------------------------------------------------
-
-_IMAGE_PAD = 1e-11  # stay clear of image-range endpoints when choosing m
-
-
-def _image_range(m: int) -> tuple[float, float]:
-    """Image of f over J_m (closure), from the certified angle estimates."""
-    if m == 0:
-        return -math.sin(find_alpha(1).theta), 1.0
-    lo_img = f(1.0 / find_alpha(m + 1).alpha)
-    hi_img = f(1.0 / find_alpha(m).alpha)
-    if lo_img > hi_img:
-        lo_img, hi_img = hi_img, lo_img
-    return lo_img, hi_img
-
-
-def _preimage(m: int, target: float, cap: float) -> float:
-    """Bisect the monotone restriction of f to J_m for f(t) = target."""
-    a, b = piece_bounds(m, max(cap, 1.0))
-    fa, fb = f(a), f(b)
-    increasing = fb >= fa
-    lo_v, hi_v = (fa, fb) if increasing else (fb, fa)
-    if not (lo_v - 1e-9 <= target <= hi_v + 1e-9):
-        raise RemapFailure(
-            f"target {target!r} outside image of J_{m} [{lo_v!r}, {hi_v!r}]"
-        )
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if (f(mid) < target) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def remap(x: float, y: float) -> tuple[float, float]:
-    """Map a cross-interval pair to an equal-image pair in one piece.
-
-    Candidate pieces are the innermost admissible J_m (largest m between
-    the pieces of y and x whose image safely contains both f-values) and
-    the piece of y itself; each point is replaced by its preimage under
-    the monotone restriction of f, and the shorter of the two candidate
-    pairs wins.  In every boundary configuration at least one candidate
-    is non-expanding, so the distance never increases and the pair's
-    quotient can only grow.
-    """
-    if not 0.0 < x < y:
-        raise DomainError(f"remap requires 0 < x < y, got ({x!r}, {y!r})")
-    k = classify_index(y)
-    l = classify_index(x)
-    if k == l:
-        return x, y
-    fx, fy = f(x), f(y)
-    m_best = k
-    for cand in range(l, k, -1):
-        lo_img, hi_img = _image_range(cand)
-        if (
-            lo_img + _IMAGE_PAD <= fx <= hi_img - _IMAGE_PAD
-            and lo_img + _IMAGE_PAD <= fy <= hi_img - _IMAGE_PAD
-        ):
-            m_best = cand
-            break
-
-    def mapped(m: int) -> tuple[float, float]:
-        x2 = x if m == l else _preimage(m, fx, cap=y)
-        y2 = y if m == k else _preimage(m, fy, cap=y)
-        return (x2, y2) if x2 <= y2 else (y2, x2)
-
-    x2, y2 = mapped(m_best)
-    if m_best != k:
-        alt = mapped(k)
-        if alt[1] - alt[0] < y2 - x2:
-            x2, y2 = alt
-    if y2 - x2 > (y - x) * (1.0 + 1e-9) + 1e-15:
-        raise RemapFailure(
-            f"remapped distance grew: ({x!r}, {y!r}) -> ({x2!r}, {y2!r})"
-        )
-    return x2, y2

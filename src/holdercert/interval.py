@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 
@@ -37,14 +36,6 @@ class DivisionByZeroInterval(IntervalError):
 
 class ArgumentTooLarge(IntervalError):
     """Trig argument beyond the documented reduction budget."""
-
-
-class Verdict(Enum):
-    """Outcome of a sign certification drawn from interval endpoints."""
-
-    PROVED_POSITIVE = "proved_positive"
-    PROVED_NONPOSITIVE = "proved_nonpositive"
-    UNDECIDED = "undecided"
 
 
 # pi scaled by 2^200 (it exceeds pi by ~1.3e-48); the binary64 endpoints of
@@ -105,12 +96,6 @@ class Interval:
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def encloses(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -184,15 +169,6 @@ class Interval:
 
 PI = Interval(math.pi, math.nextafter(math.pi, _INF))
 HALF_PI = PI / 2
-
-
-def cert_positive(a: Interval) -> Verdict:
-    """Certified sign of an interval: positive iff lo > 0, nonpositive iff hi <= 0."""
-    if a.lo > 0.0:
-        return Verdict.PROVED_POSITIVE
-    if a.hi <= 0.0:
-        return Verdict.PROVED_NONPOSITIVE
-    return Verdict.UNDECIDED
 
 
 # -- elementary functions ----------------------------------------------------

@@ -6,7 +6,8 @@ pieces beyond N are covered by the certified uniform constant bound
 sqrt(C_n) <= sqrt(1.83012) < sqrt(2), and pairs reaching beyond the cap
 are covered by two analytic certificates.  Cross-piece pairs never beat
 the per-piece suprema because the monotone remap shrinks their distance
-while preserving the image gap.
+while preserving the image gap; the float remap in ``tests/oracles.py``
+checks this on random cross pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class ConfigError(Exception):
 
 
 STATIONARY_TOL = 1e-12
-ORACLE_RESOLUTION_CAP = 2**14
 _SWEEP_BLOCK_POINTS = 2**17  # grid points per sweep block: bounds its working memory
 
 
@@ -192,44 +192,6 @@ def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float)
     return records
 
 
-def interval_sup(n: int, grid_resolution: int = 512) -> tuple[float, QuotientRecord]:
-    """Supremum of the quotient over J_n x J_n (n >= 1)."""
-    if n < 1:
-        raise ConfigError(f"interval_sup needs n >= 1, got {n}")
-    if grid_resolution < 64:
-        raise ConfigError(f"grid_resolution must be >= 64, got {grid_resolution}")
-    best = _piece_sups(range(n, n + 1), grid_resolution, 8.0, 0.5)[0]
-    return best.q, best
-
-
-def brute_grid_oracle(
-    n: int, resolution: int, x_cap: float = 8.0
-) -> tuple[float, QuotientRecord]:
-    """Exhaustive quotient max over a uniform grid with `resolution`
-    subintervals per axis (so doubling the resolution nests the grid).
-    No refinement; validation oracle for interval_sup."""
-    if resolution > ORACLE_RESOLUTION_CAP:
-        raise ConfigError(f"resolution {resolution} beyond oracle cap {ORACLE_RESOLUTION_CAP}")
-    lo, hi = piece_bounds(n, x_cap)
-    xs = np.linspace(lo, hi, resolution + 1)
-    fv = xs * np.sin(1.0 / xs)
-    best_q, best_x, best_y = -1.0, lo, hi
-    block = 512
-    for start in range(0, len(xs) - 1, block):
-        stop = min(start + block, len(xs) - 1)
-        i = np.arange(start, stop)[:, None]
-        j = np.arange(0, len(xs))[None, :]
-        mask = j > i
-        d = np.where(mask, xs[None, :] - xs[i], 1.0)
-        vals = np.where(mask, np.abs(fv[None, :] - fv[i]) / np.sqrt(d), -1.0)
-        flat = int(np.argmax(vals))
-        bi, bj = divmod(flat, vals.shape[1])
-        if vals[bi, bj] > best_q:
-            best_q = float(vals[bi, bj])
-            best_x, best_y = float(xs[start + bi]), float(xs[bj])
-    return best_q, quotient(best_x, best_y, provenance="grid")
-
-
 @dataclass(frozen=True)
 class SupremumReport:
     """Result of the reduced global search."""
@@ -308,15 +270,3 @@ def global_sup(
         tail_checks=tail,
         alpha_exp=alpha_exp,
     )
-
-
-def spot_check_max(n_pairs: int, lo: float, hi: float, seed: int = 20240901) -> float:
-    """Max quotient over random pairs in [lo, hi]^2 (seeded, vectorized)."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(lo, hi, n_pairs)
-    y = rng.uniform(lo, hi, n_pairs)
-    keep = x != y
-    x, y = x[keep], y[keep]
-    fx = x * np.sin(1.0 / x)
-    fy = y * np.sin(1.0 / y)
-    return float(np.max(np.abs(fy - fx) / np.sqrt(np.abs(y - x))))

@@ -28,10 +28,11 @@ from .checks import (
     analytic_pass,
     certified_chain,
     certified_less,
+    certified_positive,
     merge_results,
     subdivide,
 )
-from .interval import HALF_PI, PI, Interval, Verdict, cert_positive
+from .interval import HALF_PI, PI, Interval
 from .interval import _HALF_PI_FRAC  # exact pi/2 for high-precision angle recovery
 
 N_MAX = 10_000
@@ -69,9 +70,9 @@ class RootCertificate:
     residual: float
 
 
-def _decide_side(m: float, sgn: float) -> Verdict:
-    """Certified sign of sgn*phi at the point m."""
-    return cert_positive(phi_iv(Interval.point(m)) * sgn)
+def _decide_side(m: float, sgn: float) -> bool:
+    """Is sgn*phi certified positive at the point m?"""
+    return (phi_iv(Interval.point(m)) * sgn).lo > 0.0
 
 
 def _certified_end(x: float, step: float, limit: float, sgn: float, n: int) -> float:
@@ -79,7 +80,7 @@ def _certified_end(x: float, step: float, limit: float, sgn: float, n: int) -> f
     lies on the side step points to) where sgn*phi is certified positive."""
     while True:
         t = min(x + step, limit) if step > 0 else max(x + step, limit)
-        if _decide_side(t, sgn) is Verdict.PROVED_POSITIVE:
+        if _decide_side(t, sgn):
             return t
         if t == limit:
             raise CertificationFailure(f"no certified sign change for n={n} up to {limit!r}")
@@ -225,11 +226,10 @@ def check_theta_gap(n: int) -> CheckResult:
     bn1 = alpha_interval(n + 1)
     product = bn * bn1
     gap = iv.atan((bn1 - bn) / (1 + product))
-    positive = CheckResult(
+    positive = certified_positive(
         f"L1.3/lower[n={n}]",
         f"Lemma 1.3, (1.5): 0 < theta_n - theta_{{n+1}} [n={n}]",
-        "passed" if cert_positive(gap) is Verdict.PROVED_POSITIVE else "undecided",
-        gap.lo,
+        gap,
     )
     upper = certified_less(
         f"L1.3/upper[n={n}]",

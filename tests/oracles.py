@@ -1,0 +1,178 @@
+"""Test oracles: float and brute-force reference computations that no
+command runs.  The test modules import them as ``from oracles import ...``
+(pytest puts ``tests/`` on ``sys.path``); this module holds no tests.
+
+- ``remap``: the monotone remap of a cross-piece pair into one piece, which
+  the proof's reduction to per-piece suprema rests on;
+- ``ddf_iv``: an interval form of f'';
+- ``interval_sup``: the per-piece search for one piece J_n, n >= 1;
+- ``brute_grid_oracle``: the exhaustive grid maximum of the quotient;
+- ``spot_check_max``: the quotient maximum over seeded random pairs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from holdercert import interval as iv
+from holdercert.holder import (
+    QuotientRecord,
+    _recip,
+    classify_index,
+    f,
+    piece_bounds,
+    quotient,
+)
+from holdercert.interval import DomainError, Interval
+from holdercert.optimizer import ConfigError, _piece_sups
+from holdercert.roots import find_alpha
+
+ORACLE_RESOLUTION_CAP = 2**14
+
+
+def ddf_iv(x: Interval) -> Interval:
+    t = _recip(x)
+    return -(iv.sin(t) * t**3)
+
+
+# -- monotone remap ------------------------------------------------------------
+
+
+class RemapFailure(Exception):
+    """A cross-interval pair could not be remapped; indicates a defect
+    in the root certificates rather than a property of f."""
+
+
+_IMAGE_PAD = 1e-11  # stay clear of image-range endpoints when choosing m
+
+
+def _image_range(m: int) -> tuple[float, float]:
+    """Image of f over J_m (closure), from the certified angle estimates."""
+    if m == 0:
+        return -math.sin(find_alpha(1).theta), 1.0
+    lo_img = f(1.0 / find_alpha(m + 1).alpha)
+    hi_img = f(1.0 / find_alpha(m).alpha)
+    if lo_img > hi_img:
+        lo_img, hi_img = hi_img, lo_img
+    return lo_img, hi_img
+
+
+def _preimage(m: int, target: float, cap: float) -> float:
+    """Bisect the monotone restriction of f to J_m for f(t) = target."""
+    a, b = piece_bounds(m, max(cap, 1.0))
+    fa, fb = f(a), f(b)
+    increasing = fb >= fa
+    lo_v, hi_v = (fa, fb) if increasing else (fb, fa)
+    if not (lo_v - 1e-9 <= target <= hi_v + 1e-9):
+        raise RemapFailure(
+            f"target {target!r} outside image of J_{m} [{lo_v!r}, {hi_v!r}]"
+        )
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if (f(mid) < target) == increasing:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def remap(x: float, y: float) -> tuple[float, float]:
+    """Map a cross-interval pair to an equal-image pair in one piece.
+
+    Candidate pieces are the innermost admissible J_m (largest m between
+    the pieces of y and x whose image safely contains both f-values) and
+    the piece of y itself; each point is replaced by its preimage under
+    the monotone restriction of f, and the shorter of the two candidate
+    pairs wins.  In every boundary configuration at least one candidate
+    is non-expanding, so the distance never increases and the pair's
+    quotient can only grow.
+    """
+    if not 0.0 < x < y:
+        raise DomainError(f"remap requires 0 < x < y, got ({x!r}, {y!r})")
+    k = classify_index(y)
+    l = classify_index(x)
+    if k == l:
+        return x, y
+    fx, fy = f(x), f(y)
+    m_best = k
+    for cand in range(l, k, -1):
+        lo_img, hi_img = _image_range(cand)
+        if (
+            lo_img + _IMAGE_PAD <= fx <= hi_img - _IMAGE_PAD
+            and lo_img + _IMAGE_PAD <= fy <= hi_img - _IMAGE_PAD
+        ):
+            m_best = cand
+            break
+
+    def mapped(m: int) -> tuple[float, float]:
+        x2 = x if m == l else _preimage(m, fx, cap=y)
+        y2 = y if m == k else _preimage(m, fy, cap=y)
+        return (x2, y2) if x2 <= y2 else (y2, x2)
+
+    x2, y2 = mapped(m_best)
+    if m_best != k:
+        alt = mapped(k)
+        if alt[1] - alt[0] < y2 - x2:
+            x2, y2 = alt
+    if y2 - x2 > (y - x) * (1.0 + 1e-9) + 1e-15:
+        raise RemapFailure(
+            f"remapped distance grew: ({x!r}, {y!r}) -> ({x2!r}, {y2!r})"
+        )
+    return x2, y2
+
+
+# -- search oracles ------------------------------------------------------------
+
+
+def interval_sup(n: int, grid_resolution: int = 512) -> tuple[float, QuotientRecord]:
+    """Supremum of the quotient over J_n x J_n (n >= 1)."""
+    if n < 1:
+        raise ConfigError(f"interval_sup needs n >= 1, got {n}")
+    if grid_resolution < 64:
+        raise ConfigError(f"grid_resolution must be >= 64, got {grid_resolution}")
+    best = _piece_sups(range(n, n + 1), grid_resolution, 8.0, 0.5)[0]
+    return best.q, best
+
+
+def brute_grid_oracle(
+    n: int, resolution: int, x_cap: float = 8.0
+) -> tuple[float, QuotientRecord]:
+    """Exhaustive quotient max over a uniform grid with `resolution`
+    subintervals per axis (so doubling the resolution nests the grid).
+    No refinement; validation oracle for interval_sup."""
+    if resolution > ORACLE_RESOLUTION_CAP:
+        raise ConfigError(f"resolution {resolution} beyond oracle cap {ORACLE_RESOLUTION_CAP}")
+    lo, hi = piece_bounds(n, x_cap)
+    xs = np.linspace(lo, hi, resolution + 1)
+    fv = xs * np.sin(1.0 / xs)
+    best_q, best_x, best_y = -1.0, lo, hi
+    block = 512
+    for start in range(0, len(xs) - 1, block):
+        stop = min(start + block, len(xs) - 1)
+        i = np.arange(start, stop)[:, None]
+        j = np.arange(0, len(xs))[None, :]
+        mask = j > i
+        d = np.where(mask, xs[None, :] - xs[i], 1.0)
+        vals = np.where(mask, np.abs(fv[None, :] - fv[i]) / np.sqrt(d), -1.0)
+        flat = int(np.argmax(vals))
+        bi, bj = divmod(flat, vals.shape[1])
+        if vals[bi, bj] > best_q:
+            best_q = float(vals[bi, bj])
+            best_x, best_y = float(xs[start + bi]), float(xs[bj])
+    return best_q, quotient(best_x, best_y, provenance="grid")
+
+
+def spot_check_max(n_pairs: int, lo: float, hi: float, seed: int = 20240901) -> float:
+    """Max quotient over random pairs in [lo, hi]^2 (seeded, vectorized)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, hi, n_pairs)
+    y = rng.uniform(lo, hi, n_pairs)
+    keep = x != y
+    x, y = x[keep], y[keep]
+    fx = x * np.sin(1.0 / x)
+    fy = y * np.sin(1.0 / y)
+    return float(np.max(np.abs(fy - fx) / np.sqrt(np.abs(y - x))))

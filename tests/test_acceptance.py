@@ -14,16 +14,11 @@ import time
 import pytest
 
 from holdercert.checks import PASSED
-from holdercert.holder import classify_index, f, quotient, remap
-from holdercert.optimizer import (
-    brute_grid_oracle,
-    critical_pair,
-    global_sup,
-    interval_sup,
-    spot_check_max,
-)
+from holdercert.holder import classify_index, f, quotient
+from holdercert.optimizer import critical_pair, global_sup
 from holdercert.report import run_verification
 from holdercert.roots import find_alpha
+from oracles import brute_grid_oracle, interval_sup, remap, spot_check_max
 
 SQRT2 = math.sqrt(2.0)
 

@@ -251,3 +251,25 @@ class TestLandscape:
         assert main(["landscape", "--n", "1", "--resolution", "16", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # J_0 starts at 1/alpha_1 = 0.2225, so a cap at 0.1 would grid outside it
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--n", "0", "--x-cap", "0.1"], "x_cap"),
+            (["--n", "0", "--x-cap", "inf"], "x_cap"),
+            (["--n", "0", "--x-cap", "nan"], "x_cap"),
+            (["--resolution", "0"], "--resolution"),
+            (["--resolution", "1"], "--resolution"),
+        ],
+    )
+    def test_bad_grid_exit_two(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "l.csv"
+        assert main(["landscape", *flags, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_grid(self, tmp_path):
+        out = tmp_path / "l.csv"
+        assert main(["landscape", "--n", "0", "--resolution", "2", "--x-cap", "0.3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2
+

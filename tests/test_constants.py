@@ -47,7 +47,7 @@ class TestOscillationIntegral:
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50])
     def test_closed_matches_quadrature(self, n):
         closed = i_n_closed(n)
-        quad = i_n_quad(n, tol=1e-12)
+        quad = i_n_quad(n)
         assert abs(closed - quad) / quad <= 1e-10
 
     def test_quintic_lower_bound(self):

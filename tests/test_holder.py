@@ -5,26 +5,24 @@ import random
 
 import pytest
 
-from holdercert.checks import PASSED, UNDECIDED, subdivide
+from holdercert.checks import FAILED, PASSED, UNDECIDED, subdivide
 from holdercert.holder import (
-    RemapFailure,
     X_FLOOR,
     check_envelope,
     check_nesting,
     classify_index,
     ddf,
-    ddf_iv,
     df,
     df_iv,
     f,
     f_iv,
     quotient,
-    remap,
     wirtinger_equality_case,
     wirtinger_for_interval,
 )
 from holdercert.interval import PI, ArgumentTooLarge, DomainError, Interval
 from holdercert.roots import find_alpha
+from oracles import ddf_iv, remap
 
 SQRT2 = math.sqrt(2.0)
 
@@ -188,15 +186,15 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             check_envelope(1.0 / math.pi)
 
-    # 0.45 lies below the first regime edge: one start box, still four results
-    @pytest.mark.parametrize("x_max", [8.0, 2.0, 0.6, 0.45])
+    @pytest.mark.parametrize("x_max", [8.0, 2.0])
     def test_start_boxes_are_the_regimes(self, monkeypatch, x_max):
         results, start, leaves = self._start_and_leaves(monkeypatch, x_max)
         assert len(results) == 4 and all(r.verdict == PASSED for r in results)
-        inside = [e for e in (self.E1, self.E2) if self.LO < e < x_max]
-        assert [(b.lo, b.hi) for b in start] == list(
-            zip([self.LO, *inside], [*inside, x_max])
-        )
+        assert [(b.lo, b.hi) for b in start] == [
+            (self.LO, self.E1),
+            (self.E1, self.E2),
+            (self.E2, x_max),
+        ]
         leaves.sort(key=lambda b: b.lo)
         assert leaves[0].lo == self.LO and leaves[-1].hi == x_max
         assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
@@ -204,6 +202,13 @@ class TestEnvelope:
         for leaf in leaves:
             for e in (self.E1, self.E2):
                 assert leaf.hi <= e or leaf.lo >= e
+
+    # 0.45 lies below the first regime edge, 0.6 below the second: a regime
+    # without a proved box must not read passed, so such an x_max is refused
+    @pytest.mark.parametrize("x_max", [0.6, 0.45, 1.0 / math.pi + 0.5, math.inf, math.nan])
+    def test_x_max_below_third_regime(self, x_max):
+        with pytest.raises(DomainError, match="x_max"):
+            check_envelope(x_max)
 
     def test_few_f_evaluations(self, monkeypatch):
         calls = []
@@ -270,6 +275,17 @@ class TestNesting:
     def test_first_hundred(self):
         results = check_nesting(100)
         assert all(r.verdict == PASSED for r in results)
+
+    def test_wrong_signed_endpoint_fails(self, monkeypatch):
+        # a proved image of the wrong sign is a failed check, not an undecided one
+        monkeypatch.setattr("holdercert.holder.f_iv", lambda x: -f_iv(x))
+        results = check_nesting(3)
+        assert [(r.check_id, r.verdict) for r in results] == [
+            ("T2.4/nesting[n=1]", FAILED),
+            ("T2.4/nesting[n=2]", FAILED),
+            ("T2.4/sign[n=3]", FAILED),
+        ]
+        assert all(r.margin < 0 for r in results)
 
     def test_first_endpoint_negative(self):
         # f(1/alpha_1) = -sin(theta_1) < 0

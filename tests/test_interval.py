@@ -9,14 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import holdercert.interval as iv
+from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_positive
 from holdercert.interval import (
     PI,
     ArgumentTooLarge,
     DivisionByZeroInterval,
     DomainError,
     Interval,
-    Verdict,
-    cert_positive,
 )
 
 mp.mp.prec = 120
@@ -24,6 +23,10 @@ mp.mp.prec = 120
 
 def mp_encloses(a: Interval, value) -> bool:
     return mp.mpf(a.lo) <= value <= mp.mpf(a.hi)
+
+
+def subset(a: Interval, b: Interval) -> bool:
+    return b.lo <= a.lo and a.hi <= b.hi
 
 
 class TestConstruction:
@@ -102,15 +105,22 @@ class TestElementary:
 
 
 class TestCertification:
+    """certified_positive reads the sign of x from its endpoints alone."""
+
+    @staticmethod
+    def sign(x: Interval):
+        r = certified_positive("sign", "x > 0", x)
+        return r.verdict, r.margin
+
     def test_positive(self):
-        assert cert_positive(Interval(0.1, 0.2)) is Verdict.PROVED_POSITIVE
+        assert self.sign(Interval(0.1, 0.2)) == (PASSED, 0.1)
 
     def test_nonpositive(self):
-        assert cert_positive(Interval(-1.0, -0.5)) is Verdict.PROVED_NONPOSITIVE
-        assert cert_positive(Interval(-1.0, 0.0)) is Verdict.PROVED_NONPOSITIVE
+        assert self.sign(Interval(-1.0, -0.5)) == (FAILED, -1.0)
+        assert self.sign(Interval(-1.0, 0.0)) == (FAILED, -1.0)
 
     def test_undecided(self):
-        assert cert_positive(Interval(-0.1, 0.1)) is Verdict.UNDECIDED
+        assert self.sign(Interval(-0.1, 0.1)) == (UNDECIDED, -0.1)
 
 
 class TestEnclosureProperty:
@@ -168,11 +178,11 @@ def test_inclusion_monotonicity(a_mid, a_w, a_grow, b_mid, b_w, b_grow):
     outer_a = Interval(a_mid - a_w - a_grow, a_mid + a_w + a_grow)
     inner_b = Interval(b_mid - b_w, b_mid + b_w)
     outer_b = Interval(b_mid - b_w - b_grow, b_mid + b_w + b_grow)
-    assert (inner_a + inner_b).subset_of(outer_a + outer_b)
-    assert (inner_a - inner_b).subset_of(outer_a - outer_b)
-    assert (inner_a * inner_b).subset_of(outer_a * outer_b)
-    assert iv.sin(inner_a).subset_of(iv.sin(outer_a))
-    assert iv.cos(inner_b).subset_of(iv.cos(outer_b))
+    assert subset(inner_a + inner_b, outer_a + outer_b)
+    assert subset(inner_a - inner_b, outer_a - outer_b)
+    assert subset(inner_a * inner_b, outer_a * outer_b)
+    assert subset(iv.sin(inner_a), iv.sin(outer_a))
+    assert subset(iv.cos(inner_b), iv.cos(outer_b))
 
 
 class TestWidthControl:

@@ -9,19 +9,17 @@ import pytest
 
 import holdercert.optimizer as opt
 from holdercert.checks import PASSED
-from holdercert.holder import df, f, piece_bounds, quotient, remap
+from holdercert.holder import df, f, piece_bounds, quotient
 from holdercert.optimizer import (
     ConfigError,
     _coordinate_descent,
     _grid_sweep,
     _piece_sups,
-    brute_grid_oracle,
     critical_pair,
     global_sup,
-    interval_sup,
-    spot_check_max,
 )
 from holdercert.roots import N_MAX, find_alpha
+from oracles import brute_grid_oracle, interval_sup, remap, spot_check_max
 
 SQRT2 = math.sqrt(2.0)
 

@@ -10,11 +10,12 @@ import math
 import mpmath as mp
 import pytest
 
-from holdercert.checks import PASSED
+from holdercert.checks import FAILED, PASSED
 from holdercert.roots import (
     BRACKET_WIDTH_TARGET,
     CertificationFailure,
     RootCertificate,
+    alpha_interval,
     check_cubic_overshoot,
     check_theta_gap,
     check_theta_lower_bounds,
@@ -185,6 +186,13 @@ class TestAngleChecks:
     def test_gap_pass(self, n):
         r = check_theta_gap(n)
         assert r.verdict == PASSED and r.margin > 0
+
+    def test_proven_negative_gap_fails(self, monkeypatch):
+        # swap alpha_5 and alpha_6: the gap enclosure is then proved negative,
+        # which is a failed check, not an undecided one
+        monkeypatch.setattr("holdercert.roots.alpha_interval", lambda k: alpha_interval(11 - k))
+        r = check_theta_gap(5)
+        assert r.verdict == FAILED and r.margin < 0
 
     def test_gap_margin_n1(self):
         # pi/(alpha_1 alpha_2) - (theta_1 - theta_2) = 2.5291e-4 (oracle)
