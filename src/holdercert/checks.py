@@ -5,11 +5,13 @@ inequality ``a < b`` the difference must be proved positive from endpoint
 information alone.  An enclosure that merely straddles zero is reported
 as undecided, never as a pass.
 
-``subdivide`` is the one adaptive-bisection engine behind every box proof.
+``subdivide`` is the one adaptive-bisection engine, and ``prove_boxes``
+the one verdict built on it: every box proof goes through it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,10 +82,8 @@ def certified_below_decimal(check_id: str, anchor: str, lhs: Interval, threshold
 
 
 def certified_above_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
-    t = Fraction(threshold)
-    lo = Fraction(lhs.lo)
-    verdict = PASSED if lo > t else (UNDECIDED if Fraction(lhs.hi) > t else FAILED)
-    return CheckResult(check_id, anchor, verdict, float(lo - t))
+    """Certify lhs > threshold, as -lhs < -threshold (same verdict and margin)."""
+    return certified_below_decimal(check_id, anchor, -lhs, str(-Fraction(threshold)))
 
 
 def analytic_pass(check_id: str, anchor: str, margin: float = 0.0) -> CheckResult:
@@ -124,3 +124,19 @@ def subdivide(
                 stack.append(Interval(m, box.hi))
                 continue
         yield box, value
+
+
+def prove_boxes(
+    check_id: str, anchor: str, margin: Callable[[Interval], float], boxes: Iterable[Interval]
+) -> CheckResult:
+    """Certify margin > 0 over the boxes by ``subdivide``, one budget per call.
+
+    Passed iff every leaf's margin is above 0, otherwise undecided; the
+    margin is the weakest leaf's.
+    """
+    verdict, worst = PASSED, math.inf
+    for _, value in subdivide(margin, boxes, SUBDIVISION_BUDGET):
+        worst = min(worst, value)
+        if not value > 0.0:
+            verdict = UNDECIDED
+    return CheckResult(check_id, anchor, verdict, worst)

@@ -85,6 +85,8 @@ def cmd_norm(args: argparse.Namespace) -> int:
 
 
 def cmd_landscape(args: argparse.Namespace) -> int:
+    if not 0 <= args.n <= N_MAX - 1:  # J_n reads alpha_{n+1}
+        raise ConfigError(f"--n must be in [0, {N_MAX - 1}], got {args.n}")
     if args.resolution < 2:
         raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
     if not np.isfinite(args.x_cap):

@@ -121,6 +121,23 @@ def _c_parts_iv(n: int) -> tuple[Interval, Interval, Interval, Interval]:
     return delta**2 / product, correction, g, g + correction
 
 
+# (id, anchor, index into _c_parts_iv, decimal) per row kind, formatted with n
+_LATER_ROWS = (
+    ("L1.4/ratio[n={n}]", "Lemma 1.4 proof: delta_n^2/(alpha_n alpha_n+1) < 0.12 [n={n}]", 0, "0.12"),
+    ("L1.4/corr[n={n}]", "Lemma 1.4 proof: correction term < 0.00012 [n={n}]", 1, "0.00012"),
+    ("L1.4/C[n={n}]", "Lemma 1.4: C_n < 2 [n={n}]", 3, "2"),
+)
+_SUITE_ROWS = {
+    1: (
+        ("L1.4/ratio[n=1]", "Lemma 1.4 proof: delta_1^2/(alpha_1 alpha_2) < 0.302", 0, "0.302"),
+        ("L1.4/corr[n=1]", "Lemma 1.4 proof: correction term < 0.00080 (n=1)", 1, "0.00080"),
+        ("L1.4/G1", "Lemma 1.4 proof: G_1 < 2.259", 2, "2.259"),
+        ("L1.4/C1", "Lemma 1.4: C_1 < 2.26", 3, "2.26"),
+    ),
+    2: _LATER_ROWS + (("L1.4/C2", "Lemma 1.4 proof assembly: C_2 < 1.83012", 3, "1.83012"),),
+}
+
+
 def check_constants_suite(n_max: int) -> list[CheckResult]:
     """Certify every numeric landmark of the constants lemma up to n_max.
 
@@ -128,76 +145,18 @@ def check_constants_suite(n_max: int) -> list[CheckResult]:
     caps, and C_1 < 2.26, C_2 < 1.83012, C_n < 2 -- all from interval
     endpoints against exact decimal thresholds.
     """
-    results: list[CheckResult] = []
     p12 = alpha_interval(1) * alpha_interval(2)
-    results.append(
-        certified_above_decimal(
-            "L1.4/a1a2", "Lemma 1.4 proof: alpha_1 alpha_2 > 34.6", p12, "34.6"
-        )
-    )
     p23 = alpha_interval(2) * alpha_interval(3)
-    results.append(
-        certified_above_decimal(
-            "L1.4/a2a3", "Lemma 1.4 proof: alpha_2 alpha_3 > 84.22", p23, "84.22"
-        )
-    )
+    results = [
+        certified_above_decimal("L1.4/a1a2", "Lemma 1.4 proof: alpha_1 alpha_2 > 34.6", p12, "34.6"),
+        certified_above_decimal("L1.4/a2a3", "Lemma 1.4 proof: alpha_2 alpha_3 > 84.22", p23, "84.22"),
+    ]
     for n in range(1, n_max + 1):
-        ratio, correction, g, c = _c_parts_iv(n)
-        if n == 1:
-            results.append(
-                certified_below_decimal(
-                    "L1.4/ratio[n=1]",
-                    "Lemma 1.4 proof: delta_1^2/(alpha_1 alpha_2) < 0.302",
-                    ratio,
-                    "0.302",
-                )
-            )
-            results.append(
-                certified_below_decimal(
-                    "L1.4/corr[n=1]",
-                    "Lemma 1.4 proof: correction term < 0.00080 (n=1)",
-                    correction,
-                    "0.00080",
-                )
-            )
-            results.append(
-                certified_below_decimal(
-                    "L1.4/G1", "Lemma 1.4 proof: G_1 < 2.259", g, "2.259"
-                )
-            )
-            results.append(
-                certified_below_decimal(
-                    "L1.4/C1", "Lemma 1.4: C_1 < 2.26", c, "2.26"
-                )
-            )
-        else:
-            results.append(
-                certified_below_decimal(
-                    f"L1.4/ratio[n={n}]",
-                    f"Lemma 1.4 proof: delta_n^2/(alpha_n alpha_n+1) < 0.12 [n={n}]",
-                    ratio,
-                    "0.12",
-                )
-            )
-            results.append(
-                certified_below_decimal(
-                    f"L1.4/corr[n={n}]",
-                    f"Lemma 1.4 proof: correction term < 0.00012 [n={n}]",
-                    correction,
-                    "0.00012",
-                )
-            )
-            results.append(
-                certified_below_decimal(
-                    f"L1.4/C[n={n}]", f"Lemma 1.4: C_n < 2 [n={n}]", c, "2"
-                )
-            )
-            if n == 2:
-                results.append(
-                    certified_below_decimal(
-                        "L1.4/C2", "Lemma 1.4 proof assembly: C_2 < 1.83012", c, "1.83012"
-                    )
-                )
+        parts = _c_parts_iv(n)
+        results += [
+            certified_below_decimal(check_id.format(n=n), anchor.format(n=n), parts[part], decimal)
+            for check_id, anchor, part, decimal in _SUITE_ROWS.get(n, _LATER_ROWS)
+        ]
     return results
 
 

@@ -17,16 +17,14 @@ import numpy as np
 
 from . import interval as iv
 from .checks import (
-    SUBDIVISION_BUDGET,
     CheckResult,
     FAILED,
     PASSED,
-    UNDECIDED,
     analytic_pass,
     certified_less,
     certified_positive,
     merge_results,
-    subdivide,
+    prove_boxes,
 )
 from .interval import PI, DomainError, Interval
 from .quadrature import composite_simpson
@@ -152,6 +150,12 @@ def quotient(x: float, y: float, alpha_exp: float = 0.5, provenance: str = "grid
 # -- Wirtinger (numerical oracle check) ---------------------------------------
 
 
+def _wirtinger_sides(g_sq, dg_sq, a: float, b: float) -> tuple[float, float]:
+    """Both sides of int g^2 <= ((b-a)/pi)^2 int (g')^2 over [a, b], by quadrature."""
+    lhs = composite_simpson(g_sq, a, b, rel_tol=1e-12)
+    return lhs, ((b - a) / math.pi) ** 2 * composite_simpson(dg_sq, a, b, rel_tol=1e-12)
+
+
 def wirtinger_for_interval(n: int) -> CheckResult:
     """int g^2 <= ((b-a)/pi)^2 int (g')^2 for g = f' on [1/alpha_{n+1}, 1/alpha_n].
 
@@ -168,8 +172,7 @@ def wirtinger_for_interval(n: int) -> CheckResult:
     def dg_sq(t):
         return (np.sin(1.0 / t) / t**3) ** 2
 
-    lhs = composite_simpson(g_sq, a, b, rel_tol=1e-12)
-    rhs = ((b - a) / math.pi) ** 2 * composite_simpson(dg_sq, a, b, rel_tol=1e-12)
+    lhs, rhs = _wirtinger_sides(g_sq, dg_sq, a, b)
     verdict = PASSED if lhs < rhs else FAILED
     return CheckResult(
         f"L1.6/J[n={n}]",
@@ -189,8 +192,7 @@ def wirtinger_equality_case(tol: float = 1e-9, a: float = 0.0, b: float = 1.0) -
     def dg_sq(t):
         return (math.pi / w * np.cos(math.pi * (t - a) / w)) ** 2
 
-    lhs = composite_simpson(g_sq, a, b, rel_tol=1e-12)
-    rhs = (w / math.pi) ** 2 * composite_simpson(dg_sq, a, b, rel_tol=1e-12)
+    lhs, rhs = _wirtinger_sides(g_sq, dg_sq, a, b)
     ratio = lhs / rhs
     verdict = PASSED if abs(ratio - 1.0) <= tol else FAILED
     return CheckResult(
@@ -217,79 +219,51 @@ def check_envelope(x_max: float = 8.0) -> list[CheckResult]:
     the envelope is increasing, so max f over the box is compared with
     the envelope at the box's left edge.
     """
-    # regime edges (floats, routing reports only); one start box per regime, so no leaf straddles an edge
+    # regime edges (floats); each regime is proved from its own start box
     e1 = 1.0 / math.pi + 2.0 / math.pi**2
     e2 = 1.0 / math.pi + 0.5
     if not e2 < x_max < math.inf:  # every regime needs a proved box; also rejects NaN
         raise DomainError(f"x_max must be finite and exceed 1/pi + 1/2, got {x_max!r}")
     inv_pi = 1 / PI
-    strip_scalar = certified_less(
-        "P2.3/strip-scalar",
-        "Prop 2.3, (2.10) left strip: pi^2 * strip_width < 2 (mean-value regime)",
-        PI**2 * Interval.point(_STRIP),
-        Interval.point(2.0),
-    )
-    strip = merge_results(
-        "P2.3/strip",
-        "Prop 2.3, (2.10) on [1/pi, 1/pi + 1e-3]: f(1/pi) = 0, f' <= pi by concavity, "
-        "pi eps <= sqrt(2 eps)",
-        strip_scalar,
-        analytic_pass("P2.3/strip-identity", "f(1/pi) = sin(pi)/pi = 0 exactly"),
-    )
-
-    lo = inv_pi.hi + _STRIP
-    boxes = [Interval(lo, e1), Interval(e1, e2), Interval(e2, x_max)]
-    regime_margin = [math.inf, math.inf, math.inf]
-    regime_verdict = [PASSED, PASSED, PASSED]
 
     def envelope_margin(box: Interval) -> float:
         rhs = iv.sqrt((Interval.point(box.lo) - inv_pi) * 2)
         return (rhs - f_iv(box)).lo
 
-    for leaf, margin in subdivide(envelope_margin, boxes, SUBDIVISION_BUDGET):
-        regime = 0 if leaf.lo < e1 else (1 if leaf.lo < e2 else 2)
-        regime_margin[regime] = min(regime_margin[regime], margin)
-        if not margin > 0.0:
-            regime_verdict[regime] = UNDECIDED
-
-    results = [
+    return [
         merge_results(
             "P2.3/regime1",
             "Prop 2.3, (2.10) on [1/pi, 1/pi + 2/pi^2] (mean-value regime + boxes)",
-            strip,
-            CheckResult("P2.3/regime1-boxes", "boxes", regime_verdict[0], regime_margin[0]),
+            certified_less(
+                "P2.3/strip-scalar",
+                "Prop 2.3, (2.10) left strip: pi^2 * strip_width < 2 (mean-value regime)",
+                PI**2 * Interval.point(_STRIP),
+                Interval.point(2.0),
+            ),
+            analytic_pass("P2.3/strip-identity", "f(1/pi) = sin(pi)/pi = 0 exactly"),
+            prove_boxes("P2.3/regime1-boxes", "boxes", envelope_margin, [Interval(inv_pi.hi + _STRIP, e1)]),
         ),
-        CheckResult(
+        prove_boxes(
             "P2.3/regime2",
             "Prop 2.3, (2.10) on (1/pi + 2/pi^2, 1/pi + 1/2]: f(x) < x < sqrt(2(x-1/pi))",
-            regime_verdict[1],
-            regime_margin[1],
+            envelope_margin,
+            [Interval(e1, e2)],
         ),
-        CheckResult(
+        prove_boxes(
             "P2.3/regime3",
             f"Prop 2.3, (2.10) on (1/pi + 1/2, {x_max:g}]: f(x) < 1 < sqrt(2(x-1/pi))",
-            regime_verdict[2],
-            regime_margin[2],
+            envelope_margin,
+            [Interval(e2, x_max)],
         ),
-    ]
-
-    # concavity: sin(1/x) >= 0 on [1/pi, x_max]; certified strictly inside,
-    # the sub-ulp edge [1/pi, (1/pi).hi] holds since x >= 1/pi <=> 1/x <= pi
-    conc_verdict = PASSED
-    conc_margin = math.inf
-    for _, margin in subdivide(lambda box: iv.sin(1 / box).lo, [Interval(inv_pi.hi, x_max)], SUBDIVISION_BUDGET):
-        conc_margin = min(conc_margin, margin)
-        if not margin > 0.0:
-            conc_verdict = UNDECIDED
-    results.append(
-        CheckResult(
+        # concavity: sin(1/x) >= 0 on [1/pi, x_max]; certified strictly inside,
+        # the sub-ulp edge [1/pi, (1/pi).hi] holds since x >= 1/pi <=> 1/x <= pi
+        prove_boxes(
             "P2.3/concavity",
             f"Prop 2.3: f'' <= 0 on [1/pi, {x_max:g}] (sin(1/x) >= 0; boundary analytic)",
-            conc_verdict,
-            conc_margin,
-        )
-    )
-    return results
+            lambda box: iv.sin(1 / box).lo,
+            [Interval(inv_pi.hi, x_max)],
+        ),
+    ]
 
 
 # -- image nesting -------------------------------------------------------------

@@ -7,12 +7,12 @@ below the smallest margin this package ever needs to certify (~1e-16 in
 absolute terms, on quantities of size ~1e-5).
 
 sin/cos use an exact argument reduction: the operand is reduced modulo
-pi/2 in integer arithmetic, with the operand and a 200-bit value of pi both
-scaled by 2^202, so the reduction contributes no error floor.  Interior
-extrema of an interval operand are located in floats and settled in exact
-rationals only when an extremum lies within 1e-9 of an endpoint.  The
-reduction budget is |t| <= 1e6; larger arguments are rejected.  sin and cos
-share one kernel: cos t is evaluated as sin(t + pi/2), one quadrant on.
+pi/2 in integer arithmetic, with the operand and pi/2 (from pi to within
+2^-159) both scaled by 2^202, so the reduction contributes no error floor.
+Interior extrema of an interval operand are located in floats and settled
+in exact rationals only when an extremum lies within 1e-9 of an endpoint.
+The reduction budget is |t| <= 1e6; larger arguments are rejected.  sin and
+cos share one kernel: cos t is evaluated as sin(t + pi/2), one quadrant on.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class ArgumentTooLarge(IntervalError):
     """Trig argument beyond the documented reduction budget."""
 
 
-# pi scaled by 2^200 (it exceeds pi by ~1.3e-48); the binary64 endpoints of
-# pi bracket the true value (math.pi rounds pi down).
+# pi to within 2^-159, scaled by 2^200 (it exceeds pi by ~1.3e-48); the
+# binary64 endpoints of pi bracket the true value (math.pi rounds pi down).
 _PI_SCALED = 5048344754617993871973410141242436836214643421490683230289920
 _PI_FRAC = Fraction(_PI_SCALED, 2**200)
 _HALF_PI_FRAC = _PI_FRAC / 2
@@ -253,11 +253,11 @@ _PLACE_TOL = 1e-9
 def _has_extremum(a: Interval, quarter: int) -> bool:
     """Does [a.lo, a.hi] contain a point (quarter + 4k) * pi/2?
 
-    The verdict is the exact rational one against the 200-bit pi, except
-    that a point interval answers False: its image is the single value the
-    point kernel already encloses, so inserting an extremum could only widen
-    it (at the one float extremum, cos at 0, the clamp to [-1, 1] gives the
-    same bound).
+    The verdict is the exact rational one against pi to within 2^-159,
+    scaled by 2^200, except that a point interval answers False: its image
+    is the single value the point kernel already encloses, so inserting an
+    extremum could only widen it (at the one float extremum, cos at 0, the
+    clamp to [-1, 1] gives the same bound).
     """
     if a.lo == a.hi:
         return False

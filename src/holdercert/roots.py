@@ -23,14 +23,13 @@ from functools import lru_cache
 
 from . import interval as iv
 from .checks import (
-    SUBDIVISION_BUDGET,
     CheckResult,
     analytic_pass,
     certified_chain,
     certified_less,
     certified_positive,
     merge_results,
-    subdivide,
+    prove_boxes,
 )
 from .interval import HALF_PI, PI, Interval
 from .interval import _HALF_PI_FRAC  # exact pi/2 for high-precision angle recovery
@@ -275,16 +274,12 @@ def check_cubic_overshoot() -> list[CheckResult]:
         "L1.5/tail",
         "Lemma 1.5: series bound sin t - t cos t - t^3/3 <= -t^5/30 + t^7/840 < 0 on (0, 2^-30]",
     )
-    worst = math.inf
-    boxes = [Interval(_LEFT_TAIL, HALF_PI.hi)]
-    for leaf, margin in subdivide(lambda box: -_overshoot_iv(box).hi, boxes, SUBDIVISION_BUDGET):
-        if not margin > 0.0:
-            raise CertificationFailure(f"lemma 1.5 box {leaf!r} undecided within the subdivision budget")
-        worst = min(worst, margin)
-    main = CheckResult(
+    main = prove_boxes(
         "L1.5/main",
         "Lemma 1.5: sin t - t cos t < t^3/3 on [2^-30, pi/2], certified by subdivision",
-        "passed",
-        worst,
+        lambda box: -_overshoot_iv(box).hi,
+        [Interval(_LEFT_TAIL, HALF_PI.hi)],
     )
+    if not main.ok:
+        raise CertificationFailure(f"lemma 1.5 undecided within the box budget, margin {main.margin!r}")
     return [tail, main]

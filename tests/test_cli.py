@@ -260,6 +260,8 @@ class TestLandscape:
             (["--n", "0", "--x-cap", "nan"], "x_cap"),
             (["--resolution", "0"], "--resolution"),
             (["--resolution", "1"], "--resolution"),
+            (["--n", "-1"], "--n must be in [0, 9999], got -1"),
+            (["--n", "10000"], "--n must be in [0, 9999], got 10000"),
         ],
     )
     def test_bad_grid_exit_two(self, tmp_path, capsys, flags, named):

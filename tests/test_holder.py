@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from holdercert.checks import FAILED, PASSED, UNDECIDED, subdivide
+from holdercert.checks import FAILED, PASSED, UNDECIDED, prove_boxes, subdivide
 from holdercert.holder import (
     X_FLOOR,
     check_envelope,
@@ -146,8 +146,8 @@ class TestEnvelope:
 
     @staticmethod
     def _start_and_leaves(monkeypatch, x_max):
-        """Run check_envelope(x_max); return its results and the envelope
-        loop's start boxes and leaves (the first subdivide call)."""
+        """Run check_envelope(x_max); return its results, and the start
+        boxes and leaves of each envelope regime's subdivide call."""
         calls = []
 
         def recording(margin, boxes, budget):
@@ -156,10 +156,10 @@ class TestEnvelope:
             calls.append((boxes, [leaf for leaf, _ in leaves]))
             yield from leaves
 
-        monkeypatch.setattr("holdercert.holder.subdivide", recording)
+        monkeypatch.setattr("holdercert.checks.subdivide", recording)
         results = check_envelope(x_max)
-        assert len(calls) == 2  # envelope, then concavity
-        return results, *calls[0]
+        assert len(calls) == 4  # one per regime, then concavity
+        return results, calls[:3]
 
     def test_all_pass(self):
         results = check_envelope()
@@ -188,17 +188,17 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("x_max", [8.0, 2.0])
     def test_start_boxes_are_the_regimes(self, monkeypatch, x_max):
-        results, start, leaves = self._start_and_leaves(monkeypatch, x_max)
+        results, regime_calls = self._start_and_leaves(monkeypatch, x_max)
         assert len(results) == 4 and all(r.verdict == PASSED for r in results)
-        assert [(b.lo, b.hi) for b in start] == [
-            (self.LO, self.E1),
-            (self.E1, self.E2),
-            (self.E2, x_max),
+        assert [[(b.lo, b.hi) for b in start] for start, _ in regime_calls] == [
+            [(self.LO, self.E1)],
+            [(self.E1, self.E2)],
+            [(self.E2, x_max)],
         ]
-        leaves.sort(key=lambda b: b.lo)
+        leaves = sorted((leaf for _, call_leaves in regime_calls for leaf in call_leaves), key=lambda b: b.lo)
         assert leaves[0].lo == self.LO and leaves[-1].hi == x_max
         assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
-        # every leaf lies in one regime, so routing by leaf.lo is exact
+        # every leaf lies in one regime
         for leaf in leaves:
             for e in (self.E1, self.E2):
                 assert leaf.hi <= e or leaf.lo >= e
@@ -225,7 +225,7 @@ class TestEnvelope:
         # an enclosure of f too wide to prove anything: the subdivision must
         # stop at its budget and report every regime undecided, never passed
         monkeypatch.setattr("holdercert.holder.f_iv", lambda x: Interval(-10.0, 10.0))
-        monkeypatch.setattr("holdercert.holder.SUBDIVISION_BUDGET", 16)
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 16)
         results = check_envelope(2.0)
         verdicts = {r.check_id: r.verdict for r in results}
         assert verdicts == {
@@ -269,6 +269,35 @@ class TestSubdivide:
     def test_unsplittable_box_is_a_leaf(self):
         tight = Interval(1.0, math.nextafter(1.0, 2.0))
         assert list(subdivide(lambda box: -1.0, [tight], 1000)) == [(tight, -1.0)]
+
+
+class TestProveBoxes:
+    BOXES = TestSubdivide.BOXES
+
+    def test_provable_margin_passes_at_the_weakest_leaf(self):
+        margin = lambda box: 0.3 - box.width
+        r = prove_boxes("id", "anchor", margin, self.BOXES)
+        leaves = list(subdivide(margin, self.BOXES, 1000))
+        assert (r.check_id, r.anchor, r.verdict) == ("id", "anchor", PASSED)
+        assert r.margin == min(m for _, m in leaves) > 0.0
+
+    def test_unprovable_box_is_undecided(self, monkeypatch):
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 64)
+        r = prove_boxes("id", "anchor", lambda box: -box.width, self.BOXES)
+        assert r.verdict == UNDECIDED and r.margin <= 0.0
+
+    def test_budget_applies_per_call(self, monkeypatch):
+        calls = []
+
+        def never(box):
+            calls.append(box)
+            return -1.0
+
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 10)
+        for _ in range(2):
+            assert prove_boxes("id", "anchor", never, self.BOXES).verdict == UNDECIDED
+        # each call gets the whole budget: budget - 1 splits, as in TestSubdivide
+        assert len(calls) == 2 * (len(self.BOXES) + 2 * 9)
 
 
 class TestNesting:

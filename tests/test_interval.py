@@ -9,7 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import holdercert.interval as iv
-from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_positive
+from holdercert.checks import (
+    FAILED,
+    PASSED,
+    UNDECIDED,
+    CheckResult,
+    certified_above_decimal,
+    certified_below_decimal,
+    certified_positive,
+)
 from holdercert.interval import (
     PI,
     ArgumentTooLarge,
@@ -121,6 +129,74 @@ class TestCertification:
 
     def test_undecided(self):
         assert self.sign(Interval(-0.1, 0.1)) == (UNDECIDED, -0.1)
+
+
+# -- the two comparator bodies before "above" became "below" of the negation -----
+
+
+def _below_decimal_ref(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
+    t = Fraction(threshold)
+    hi = Fraction(lhs.hi)
+    verdict = PASSED if hi < t else (UNDECIDED if Fraction(lhs.lo) < t else FAILED)
+    return CheckResult(check_id, anchor, verdict, float(t - hi))
+
+
+def _above_decimal_ref(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
+    t = Fraction(threshold)
+    lo = Fraction(lhs.lo)
+    verdict = PASSED if lo > t else (UNDECIDED if Fraction(lhs.hi) > t else FAILED)
+    return CheckResult(check_id, anchor, verdict, float(lo - t))
+
+
+@st.composite
+def _interval_and_decimal(draw):
+    a, b = (draw(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)) for _ in range(2))
+    lhs = Interval(min(a, b), max(a, b))
+    threshold = draw(
+        st.one_of(
+            st.decimals(min_value=-1000, max_value=1000, places=6).map(str),
+            st.sampled_from([repr(lhs.lo), repr(lhs.hi)]),
+        )
+    )
+    return lhs, threshold
+
+
+class TestDecimalComparators:
+    """certified_below_decimal/certified_above_decimal compare interval
+    endpoints with exact decimals, as the reference bodies do."""
+
+    @staticmethod
+    def both(lhs: Interval, threshold: str):
+        below = certified_below_decimal("id", "anchor", lhs, threshold)
+        above = certified_above_decimal("id", "anchor", lhs, threshold)
+        return (below.verdict, above.verdict), (below, above)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(_interval_and_decimal())
+    def test_match_the_references(self, case):
+        lhs, threshold = case
+        _, got = self.both(lhs, threshold)
+        refs = (
+            _below_decimal_ref("id", "anchor", lhs, threshold),
+            _above_decimal_ref("id", "anchor", lhs, threshold),
+        )
+        for r, ref in zip(got, refs):
+            assert (r.check_id, r.anchor, r.verdict, r.margin.hex()) == (
+                ref.check_id,
+                ref.anchor,
+                ref.verdict,
+                ref.margin.hex(),
+            ), (lhs, threshold)
+
+    def test_double_above_its_decimal(self):
+        # the double 0.1 is 0.1000000000000000055...: above "0.1", never below
+        verdicts, (below, above) = self.both(Interval.point(0.1), "0.1")
+        assert verdicts == (FAILED, PASSED)
+        assert above.margin == -below.margin == float(Fraction(0.1) - Fraction("0.1")) > 0.0
+
+    def test_end_at_the_decimal_is_undecided(self):
+        assert self.both(Interval(0.0, 0.5), "0.5")[0] == (UNDECIDED, FAILED)
+        assert self.both(Interval(0.5, 1.0), "0.5")[0] == (FAILED, UNDECIDED)
 
 
 class TestEnclosureProperty:

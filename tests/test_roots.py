@@ -217,7 +217,7 @@ class TestCubicOvershoot:
         with pytest.raises(CertificationFailure, match="lemma 1.5"):
             check_cubic_overshoot()
         # and within a small budget it fails at the budget instead
-        monkeypatch.setattr("holdercert.roots.SUBDIVISION_BUDGET", 4)
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 4)
         with pytest.raises(CertificationFailure, match="lemma 1.5"):
             check_cubic_overshoot()
 
