@@ -80,7 +80,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
         grid_resolution=args.resolution,
         alpha_exp=args.alpha,
     )
-    _emit(json.dumps(supremum_dict(rep), indent=2) + "\n", args.out)
+    _emit(json.dumps(supremum_dict(rep), indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 

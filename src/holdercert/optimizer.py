@@ -31,7 +31,10 @@ class ConfigError(Exception):
 
 
 STATIONARY_TOL = 1e-12
-_SWEEP_BLOCK_POINTS = 2**17  # grid points per sweep block: bounds its working memory
+_SWEEP_BLOCK_POINTS = 2**15  # grid points per sweep block: bounds its working memory
+_LB_STRIDE = 8  # the sweep's lower bound is the best pair of every 8th grid point
+_SLACK = 1.0 + 1e-9  # widening of the sweep's pruning bounds against float error
+_PROBE_STEPS = np.arange(17) - 8  # descent probe k sits at base + h*(k-8)/8
 
 
 def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, float, float] | None:
@@ -121,6 +124,52 @@ def critical_pair(n: int, x_cap: float = 8.0) -> QuotientRecord | None:
     return quotient(best[0], best[1], provenance="newton")
 
 
+def _quotients(xa, fa, xb, fb, alpha_exp: float) -> np.ndarray:
+    """The sweep's quotient |fb - fa| / (xb - xa)^alpha_exp.  The scan and
+    its lower bound share this expression, so both give the same bits."""
+    return np.abs(fb - fa) / (xb - xa) ** alpha_exp
+
+
+def _sweep_plan(xs: np.ndarray, fv: np.ndarray, alpha_exp: float) -> tuple[np.ndarray, ...]:
+    """Which pairs of each piece's grid (a row of xs, fv) can hold its maximum.
+
+    Returns (lb, keep, skip).  lb is the best pair of every 8th grid point:
+    a grid entry, so at most the grid maximum.  With S_i the largest
+    adjacent slope right of point i and M_i the largest |fv_j - fv_i|,
+    j > i, every quotient of row i at distance d is at most
+    min(S_i d^(1-alpha), M_i d^-alpha) <= S_i^alpha M_i^(1-alpha).  Row i is
+    kept only when that bound reaches lb.  Its first skip[i] columns lie
+    closer than the distance at which S_i d^(1-alpha) reaches lb, counted
+    in the largest grid spacing, less one index.
+    Each bound is widened by _SLACK, far more than the few ulps of float
+    error in it or in a scanned entry, so every pair left out is below lb.
+    A piece whose grid is not finite and strictly increasing is scanned in
+    full.
+    """
+    n = xs.shape[1]
+    sx, sf = xs[:, ::_LB_STRIDE], fv[:, ::_LB_STRIDE]
+    dx = np.diff(xs, axis=1)
+    with np.errstate(all="ignore"):  # NaN and inf are screened out below
+        lb = np.max(
+            [
+                _quotients(sx[:, r, None], sf[:, r, None], sx[:, r + 1 :], sf[:, r + 1 :], alpha_exp).max(axis=1)
+                for r in range(sx.shape[1] - 1)
+            ],
+            axis=0,
+        )
+        s = np.maximum.accumulate((np.abs(np.diff(fv, axis=1)) / dx)[:, ::-1], axis=1)[:, ::-1]
+        right_max = np.maximum.accumulate(fv[:, :0:-1], axis=1)[:, ::-1]
+        right_min = np.minimum.accumulate(fv[:, :0:-1], axis=1)[:, ::-1]
+        m = np.maximum(right_max - fv[:, :-1], fv[:, :-1] - right_min)
+        keep = s**alpha_exp * m ** (1.0 - alpha_exp) * _SLACK >= lb[:, None]
+        reach = (lb[:, None] / (s * _SLACK)) ** (1.0 / (1.0 - alpha_exp))
+        skip = np.floor(reach / dx.max(axis=1, keepdims=True)) - 1.0
+    prunable = np.isfinite(xs).all(axis=1) & np.isfinite(fv).all(axis=1) & (dx > 0).all(axis=1)
+    keep |= ~prunable[:, None]
+    skip = np.where(prunable[:, None] & (skip > 0), np.minimum(skip, n), 0).astype(np.intp)
+    return lb, keep, skip
+
+
 def _grid_sweep(
     bounds: list[tuple[float, float]], points: int, alpha_exp: float
 ) -> list[tuple[float, float]]:
@@ -128,7 +177,11 @@ def _grid_sweep(
 
     One row loop serves a block of pieces at once.  Per piece it is a
     row-by-row scan: the first maximal column of a row, and a later row
-    only when strictly better, so ties go to the first pair.
+    only when strictly better, so ties go to the first pair.  The scan
+    leaves out the rows and leading columns that ``_sweep_plan`` proves
+    below a grid entry, hence below the maximum: the first maximal pair
+    is the one the full scan finds, bit for bit.  A row starts at the
+    first column any kept piece of the block needs.
     """
     starts: list[tuple[float, float]] = []
     block = max(1, _SWEEP_BLOCK_POINTS // points)
@@ -136,60 +189,80 @@ def _grid_sweep(
         grids = [np.linspace(lo, hi, points) for lo, hi in bounds[b : b + block]]
         xs = np.stack(grids)
         fv = np.stack([g * np.sin(1.0 / g) for g in grids])
-        rows = np.arange(len(grids))
-        best_q = np.full(rows.size, -1.0)
+        _, keep, skip = _sweep_plan(xs, fv, alpha_exp)
+        first = np.arange(1, points) + np.where(keep, skip, points).min(axis=0)
+        best_q = np.full(len(grids), -1.0)
         best_x, best_y = np.array(bounds[b : b + block]).T.copy()  # a NaN grid keeps its ends
-        for i in range(points - 1):
-            d = xs[:, i + 1 :] - xs[:, i, None]
-            vals = np.abs(fv[:, i + 1 :] - fv[:, i, None]) / d**alpha_exp
+        for i, s in enumerate(first.tolist()):
+            if s >= points:  # no kept piece has a column left in this row
+                continue
+            rows = np.flatnonzero(keep[:, i])
+            vals = _quotients(xs[rows, i, None], fv[rows, i, None], xs[rows, s:], fv[rows, s:], alpha_exp)
             j = vals.argmax(axis=1)
-            q = vals[rows, j]
-            better = q > best_q
-            best_q[better] = q[better]
-            best_x[better] = xs[better, i]
-            best_y[better] = xs[rows, i + 1 + j][better]
+            q = vals[np.arange(rows.size), j]
+            better = q > best_q[rows]
+            won = rows[better]
+            best_q[won] = q[better]
+            best_x[won] = xs[won, i]
+            best_y[won] = xs[won, s + j[better]]
         starts += zip(best_x.tolist(), best_y.tolist())
     return starts
 
 
 def _coordinate_descent(
-    x: float, y: float, lo: float, hi: float, h0: float, alpha_exp: float
-) -> tuple[float, float]:
-    """Deterministic alternating 1-D refinement of a quotient maximizer.
+    starts: list[tuple[float, float]],
+    bounds: list[tuple[float, float]],
+    h0: list[float],
+    alpha_exp: float,
+) -> list[tuple[float, float]]:
+    """Deterministic alternating 1-D refinement of each piece's quotient
+    maximizer, all pieces in lockstep.
 
-    A probe moves one coordinate, so f is evaluated only there; the other
-    coordinate's value is carried.  The first maximal probe wins, and a
-    coordinate whose probes all leave the box stays.
+    Per piece and axis, probe k of 17 sits at base + h*(k-8)/8; only the
+    moving coordinate is evaluated, the other's value is carried, and
+    probe 8 reuses the base value.  The first maximal probe inside
+    lo <= x < y <= hi wins; a piece with no inside probe (or only NaN
+    quotients) keeps its coordinate.  This is the scalar per-piece descent
+    bit for bit: f is g * np.sin(1/g), the operations of ``holder.f``, and
+    the power is Python's float ``**`` (libm pow), as in
+    ``holder.quotient``.  np.power differs from pow in the last bit (at
+    alpha 1/2 it takes sqrt), which moves the winning probe.
     """
-    fx, fy = f(x), f(y)
-    h = h0
-    for _ in range(50):
-        for axis in (0, 1):
-            base, fbase, other, fother = (x, fx, y, fy) if axis == 0 else (y, fy, x, fx)
-            best_q, best_g, best_fg = -1.0, base, fbase
-            for k in range(17):
-                g = base + h * (k - 8) / 8.0
-                px, py = (g, other) if axis == 0 else (other, g)
-                if lo <= px < py <= hi:
-                    fg = fbase if k == 8 else f(g)  # probe 8 is the base point
-                    q = abs(fother - fg) / (py - px) ** alpha_exp
-                    if q > best_q:
-                        best_q, best_g, best_fg = q, g, fg
-            x, fx, y, fy = (best_g, best_fg, y, fy) if axis == 0 else (x, fx, best_g, best_fg)
-        h *= 0.5
-    return x, y
+    x, y = (np.array(v, dtype=float) for v in zip(*starts))
+    lo, hi = (np.array(v, dtype=float)[:, None] for v in zip(*bounds))
+    h = np.array(h0, dtype=float)[:, None]
+    rows = np.arange(x.size)
+    with np.errstate(all="ignore"):  # probes outside the piece may be <= 0 or NaN
+        fx, fy = x * np.sin(1.0 / x), y * np.sin(1.0 / y)
+        for _ in range(50):
+            for axis in (0, 1):
+                base, fbase, other, fother = (x, fx, y, fy) if axis == 0 else (y, fy, x, fx)
+                g = base[:, None] + h * _PROBE_STEPS / 8.0
+                fg = g * np.sin(1.0 / g)
+                fg[:, 8] = fbase  # probe 8 is the base point
+                px, py = (g, other[:, None]) if axis == 0 else (other[:, None], g)
+                inside = (lo <= px) & (px < py) & (py <= hi)
+                q = np.full(g.shape, -1.0)
+                power = [d**alpha_exp for d in (py - px)[inside].tolist()]
+                q[inside] = np.abs(fother[:, None] - fg)[inside] / power
+                q[np.isnan(q)] = -1.0
+                k = q.argmax(axis=1)
+                moved = q[rows, k] > -1.0
+                base = np.where(moved, g[rows, k], base)
+                fbase = np.where(moved, fg[rows, k], fbase)
+                x, fx, y, fy = (base, fbase, y, fy) if axis == 0 else (x, fx, base, fbase)
+            h = h * 0.5
+    return list(zip(x.tolist(), y.tolist()))
 
 
 def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float) -> list[QuotientRecord]:
     """Max of the quotient over each piece J_n, n in ns: one grid sweep
-    for all pieces, then coordinate descent per piece."""
+    for all pieces, then one lockstep descent for all pieces."""
     bounds = [piece_bounds(n, x_cap) for n in ns]
-    records = []
-    for (lo, hi), (gx, gy) in zip(bounds, _grid_sweep(bounds, grid_resolution, alpha_exp)):
-        spacing = (hi - lo) / (grid_resolution - 1)
-        rx, ry = _coordinate_descent(gx, gy, lo, hi, spacing, alpha_exp)
-        records.append(quotient(rx, ry, alpha_exp, provenance="grid"))
-    return records
+    h0 = [(hi - lo) / (grid_resolution - 1) for lo, hi in bounds]
+    starts = _grid_sweep(bounds, grid_resolution, alpha_exp)
+    pairs = _coordinate_descent(starts, bounds, h0, alpha_exp)
+    return [quotient(x, y, alpha_exp, provenance="grid") for x, y in pairs]
 
 
 @dataclass(frozen=True)

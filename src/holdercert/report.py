@@ -8,6 +8,7 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, astuple, dataclass
 
 from . import __version__
@@ -95,7 +96,8 @@ def supremum_dict(s: SupremumReport) -> dict:
         "arg": asdict(s.arg),
         "per_interval": [{"n": n, "sup": v, "arg": asdict(a)} for n, v, a in s.per_interval],
         "method_breakdown": s.method_breakdown,
-        "bound_certificate": s.bound_certificate,
+        # JSON has no NaN: off alpha 1/2 there is no certified bound
+        "bound_certificate": None if math.isnan(s.bound_certificate) else s.bound_certificate,
         "tail_checks": [_check_dict(c) for c in s.tail_checks],
     }
 
@@ -111,7 +113,7 @@ def report_to_dict(r: VerificationReport) -> dict:
 
 
 def report_to_json(r: VerificationReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2) + "\n"
+    return json.dumps(report_to_dict(r), indent=2, allow_nan=False) + "\n"
 
 
 def report_to_markdown(r: VerificationReport) -> str:

@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from holdercert.checks import CheckResult
 from holdercert.cli import main
 from holdercert.constants import ConstantsRow
+from holdercert.optimizer import global_sup
 from holdercert.report import (
     VerificationReport,
     report_to_dict,
@@ -16,6 +18,10 @@ from holdercert.report import (
     run_verification,
 )
 from holdercert.roots import find_alpha
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,12 @@ class TestVerify:
         # constants rows n = 1..2, with C_1 < 2.26
         assert [row["n"] for row in data["constants_table"]] == [1, 2]
         assert data["constants_table"][0]["c"] < 2.26
+
+    def test_json_is_strict(self, small_report):
+        json.loads(report_to_json(small_report), parse_constant=_reject_constant)
+        bad = replace(small_report.checks[0], margin=math.nan)
+        with pytest.raises(ValueError):
+            report_to_json(replace(small_report, checks=[bad, *small_report.checks[1:]]))
 
     def test_json_roundtrip_fixpoint(self, small_report):
         text = report_to_json(small_report)
@@ -202,6 +214,21 @@ class TestNorm:
         assert main(["norm", "--alpha", "0.4", "--n", "2", "--resolution", "64", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert math.isfinite(data["sup_estimate"])
+
+    def test_off_half_exponent_is_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN; below alpha 1/2 there is no certified bound
+        out = tmp_path / "norm035.json"
+        assert main(["norm", "--alpha", "0.35", "--n", "20", "--resolution", "64", "--out", str(out)]) == 0
+        data = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert data["bound_certificate"] is None
+        assert data["tail_checks"] == []
+
+    def test_non_finite_value_exits_two(self, tmp_path, monkeypatch):
+        rep = replace(global_sup(2, 8.0, 64), sup_estimate=math.inf)
+        monkeypatch.setattr("holdercert.cli.global_sup", lambda **kw: rep)
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_config_error(self):
         assert main(["norm", "--n", "0"]) == 2

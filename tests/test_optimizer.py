@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holdercert.optimizer as opt
 from holdercert.checks import PASSED
@@ -174,17 +175,18 @@ def _coordinate_descent_ref(
 def _assert_search_matches_reference(bounds, resolution, alpha_exp):
     starts = _grid_sweep(bounds, resolution, alpha_exp)
     assert len(starts) == len(bounds)
-    for (lo, hi), (gx, gy) in zip(bounds, starts):
+    h0 = [(hi - lo) / (resolution - 1) for lo, hi in bounds]
+    pairs = _coordinate_descent(starts, bounds, h0, alpha_exp)
+    assert len(pairs) == len(bounds)
+    for (lo, hi), (gx, gy), h, got in zip(bounds, starts, h0, pairs):
         assert (gx, gy) == _grid_scan_ref(lo, hi, resolution, alpha_exp), (lo, hi)
-        h = (hi - lo) / (resolution - 1)
-        got = _coordinate_descent(gx, gy, lo, hi, h, alpha_exp)
         assert got == _coordinate_descent_ref(gx, gy, lo, hi, h, alpha_exp), (lo, hi)
 
 
 class TestBatchedSearchReference:
-    """The batched grid sweep gives every piece the start pair of the
-    per-piece scan, and the cached descent the pair of the uncached one,
-    bit for bit."""
+    """The pruned, batched grid sweep gives every piece the start pair of
+    the full per-piece scan, and the lockstep descent the pair of the
+    scalar one, bit for bit."""
 
     @pytest.mark.parametrize("resolution", [64, 512])
     @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.25])
@@ -220,9 +222,89 @@ class TestBatchedSearchReference:
 
         monkeypatch.setattr(opt, "f", counted)
         _piece_sups(range(11), 64, 8.0, 0.5)
-        # 2 start values, then at most 16 probes (probe 8 is the base
-        # point) per axis per round, 100 axis moves
-        assert calls <= 11 * (2 + 100 * 16)
+        # the lockstep descent evaluates the moving coordinate's probes as
+        # arrays, so no scalar f call is left
+        assert calls == 0
+
+    def test_nan_quotients_never_win(self):
+        # at h = inf the right probes sit at y = inf, where f is NaN
+        bounds, starts = [(0.5, math.inf)], [(0.5, 1.0)]
+        got = _coordinate_descent(starts, bounds, [math.inf], 0.5)
+        assert got == [_coordinate_descent_ref(0.5, 1.0, 0.5, math.inf, math.inf, 0.5)] == [(0.5, 1.0)]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.01, max_value=10.0),
+                st.floats(min_value=0.01, max_value=10.0),
+            ).filter(lambda t: t[0] != t[1]),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(min_value=0.05, max_value=0.5),
+        st.sampled_from([64, 65, 200]),
+    )
+    def test_arbitrary_pieces_match_reference(self, ends, alpha_exp, resolution):
+        # f is not monotone on such pieces: the pruning may not rely on it
+        bounds = [(min(a, b), max(a, b)) for a, b in ends]
+        _assert_search_matches_reference(bounds, resolution, alpha_exp)
+
+
+class TestSweepPruning:
+    """Every pair the sweep leaves out is below its lower bound, and the
+    lower bound is a grid entry."""
+
+    @staticmethod
+    def _grids(rng, kind, pieces, points):
+        if kind == "f":
+            ends = np.sort(rng.uniform(0.01, 10.0, (pieces, 2)), axis=1)
+            xs = np.stack([np.linspace(lo, hi, points) for lo, hi in ends])
+            return xs, xs * np.sin(1.0 / xs)
+        # uneven spacing and a random walk: no structure of f to lean on
+        xs = np.cumsum(rng.uniform(0.1, 1.0, (pieces, points)), axis=1)
+        return xs, np.cumsum(rng.standard_normal((pieces, points)), axis=1)
+
+    @pytest.mark.parametrize("kind", ["f", "walk"])
+    @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
+    def test_skipped_pairs_are_below_the_bound(self, kind, alpha_exp):
+        rng = np.random.default_rng(20240)
+        points = 120
+        xs, fv = self._grids(rng, kind, 20, points)
+        lb, keep, skip = opt._sweep_plan(xs, fv, alpha_exp)
+        i, j = np.triu_indices(points, 1)
+        vals = opt._quotients(xs[:, i], fv[:, i], xs[:, j], fv[:, j], alpha_exp)
+        assert np.all(lb <= vals.max(axis=1))
+        assert (vals == lb[:, None]).any(axis=1).all()  # lb is a grid entry, bit for bit
+        left_out = ~keep[:, i] | (j - i <= skip[:, i])
+        assert left_out.any()
+        assert np.all(vals[left_out] < np.broadcast_to(lb[:, None], vals.shape)[left_out])
+
+    def test_degenerate_grids_are_scanned_in_full(self):
+        xs = np.tile(np.linspace(0.1, 2.0, 64), (4, 1))
+        fv = xs * np.sin(1.0 / xs)
+        xs[1, -1] = math.inf  # an infinite end
+        fv[2, 5] = math.nan  # a NaN value off the every-8th subgrid
+        xs[3, 6], fv[3, 6] = xs[3, 5], fv[3, 5]  # a repeated point
+        with np.errstate(invalid="ignore"):
+            _, keep, skip = opt._sweep_plan(xs, fv, 0.5)
+        assert not keep[0].all() and skip[0].any()  # the regular grid is pruned
+        assert keep[1:].all() and not skip[1:].any()
+
+    def test_search_evaluates_under_half_the_pairs(self, monkeypatch):
+        evaluated = 0
+        quotients = opt._quotients
+
+        def counted(*args):
+            nonlocal evaluated
+            vals = quotients(*args)
+            evaluated += vals.size
+            return vals
+
+        monkeypatch.setattr(opt, "_quotients", counted)
+        bounds = [piece_bounds(n, 8.0) for n in range(201)]
+        opt._grid_sweep(bounds, 512, 0.5)
+        assert evaluated < 0.5 * len(bounds) * 512 * 511 / 2
 
 
 class TestBoundaryExclusion:
