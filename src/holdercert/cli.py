@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import astuple, fields
 
@@ -17,6 +18,7 @@ from .constants import ConstantsRow, c_n
 from .holder import f, piece_bounds
 from .optimizer import ConfigError, global_sup
 from .report import (
+    VERIFY_N_MAX,
     report_to_json,
     report_to_markdown,
     run_verification,
@@ -36,9 +38,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the campaign reads alpha_{n_max+1}, so the last certified root bounds n_max
-    if not 1 <= args.n_max <= N_MAX - 1:
-        raise ConfigError(f"--n-max must be in [1, {N_MAX - 1}], got {args.n_max}")
+    if not 1 <= args.n_max <= VERIFY_N_MAX:
+        raise ConfigError(f"--n-max must be in [1, {VERIFY_N_MAX}], got {args.n_max}")
     report = run_verification(n_max=args.n_max)
     report.config["format"] = args.format
     text = report_to_json(report) if args.format == "json" else report_to_markdown(report)
@@ -55,8 +56,9 @@ def cmd_roots(args: argparse.Namespace) -> int:
         lines.append(
             f"{n} {cert.alpha!r} {cert.theta!r} {cert.bracket.width!r} {cert.residual!r}"
         )
-        if cert.residual > args.tol:
-            print(f"residual for n={n} exceeds --tol {args.tol:g}", file=sys.stderr)
+        # binary64 alpha alone leaves |alpha tan(theta) - 1| up to alpha ulp(alpha)/2
+        if cert.residual > cert.alpha * math.ulp(cert.alpha):
+            print(f"residual for n={n} exceeds alpha*ulp(alpha)", file=sys.stderr)
             _emit("\n".join(lines) + "\n", args.out)
             return 1
     _emit("\n".join(lines) + "\n", args.out)
@@ -122,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="certified roots alpha_n and angles theta_n")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-10, help="max acceptable tangent residual")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_roots)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -87,7 +88,8 @@ def c_n(n: int) -> ConstantsRow:
     prefactor = delta**2 / (math.pi**2 * a**2 * b**2)
     g = prefactor * (b**5 - a**5) / 10.0
     c_lemma = prefactor * i_closed
-    c_chain = (1.0 / math.pi**2) * (1.0 / a - 1.0 / b) ** 2 * i_closed
+    # 1/a - 1/b in floats would cancel away ~eps (a + b)/delta; take it exactly
+    c_chain = (1.0 / math.pi**2) * float(1 / Fraction(a) - 1 / Fraction(b)) ** 2 * i_closed
     if abs(c_lemma - c_chain) > 1e-12 * abs(c_lemma):
         raise RuntimeError(
             f"C_{n} dual-route mismatch: {c_lemma!r} vs {c_chain!r}"

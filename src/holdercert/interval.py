@@ -6,20 +6,19 @@ endpoint nudging: the accumulated slack (a few ulps per operation) is far
 below the smallest margin this package ever needs to certify (~1e-16 in
 absolute terms, on quantities of size ~1e-5).
 
-sin/cos use an exact argument reduction: the operand is reduced modulo
-pi/2 in integer arithmetic, with the operand and pi/2 (from pi to within
-2^-159) both scaled by 2^202, so the reduction contributes no error floor.
-Interior extrema of an interval operand are located in floats and settled
-in exact rationals only when an extremum lies within 1e-9 of an endpoint.
-The reduction budget is |t| <= 1e6; larger arguments are rejected.  sin and
-cos share one kernel: cos t is evaluated as sin(t + pi/2), one quadrant on.
+sin/cos compare with pi in integers only: the operand and pi/2 (from pi
+to within 2^-159) are both scaled by 2^202, so the argument reduction
+contributes no error floor, and the quarter turns q*pi/2 inside an interval
+operand, which locate its interior extrema, are counted exactly by floor
+division.  The reduction budget is |t| <= 1e6; larger arguments are
+rejected.  sin and cos share one kernel: cos t is evaluated as
+sin(t + pi/2), one quadrant on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class IntervalError(Exception):
@@ -41,15 +40,11 @@ class ArgumentTooLarge(IntervalError):
 # pi to within 2^-159, scaled by 2^200 (it exceeds pi by ~1.3e-48); the
 # binary64 endpoints of pi bracket the true value (math.pi rounds pi down).
 _PI_SCALED = 5048344754617993871973410141242436836214643421490683230289920
-_PI_FRAC = Fraction(_PI_SCALED, 2**200)
-_HALF_PI_FRAC = _PI_FRAC / 2
 
-# pi/2 scaled by 2^202: an even integer, so pi/4 at that scale is one too.
+# pi/2 scaled by 2^202
 _SCALE_BITS = 202
 _HALF_PI_INT = 2 * _PI_SCALED
 
-_HALF_PI_FLOAT = float(_HALF_PI_FRAC)
-_TWO_PI_FLOAT = float(4 * _HALF_PI_FRAC)
 _KERNEL_CUT = 0.7853981633974483  # <= pi/4; below this no reduction is needed
 
 ARGUMENT_BUDGET = 1.0e6
@@ -191,25 +186,29 @@ def asin(a: Interval) -> Interval:
     return Interval(_down(math.asin(a.lo), 2), _up(math.asin(a.hi), 2))
 
 
-def _reduce(x: float) -> tuple[float, float, int]:
-    """Reduce x to r = x - k*pi/2 with |r| <~ pi/4, exactly in integers.
-
-    x and pi/2 are scaled to integers by 2^e (e = 202 unless |x| < 2^-149
-    needs more); int/int true division is correctly rounded.
-    Returns (r_hi, r_lo, k mod 4) where r_hi + r_lo represents r to ~2^-106.
-    """
-    k = math.floor(x / _HALF_PI_FLOAT + 0.5)
+def _scaled(x: float) -> tuple[int, int, int]:
+    """x and pi/2 as integers at one scale 2^e: (x 2^e, pi/2 2^e, e), with
+    e = 202 unless x has bits below 2^-202 (then |x| < 2^-149)."""
     num, den = x.as_integer_ratio()  # den is a power of two
     e = max(den.bit_length() - 1, _SCALE_BITS)
-    half_pi = _HALF_PI_INT << (e - _SCALE_BITS)
-    quarter_pi = half_pi >> 1
-    r = (num << (e - den.bit_length() + 1)) - k * half_pi
-    while r > quarter_pi:
-        r -= half_pi
-        k += 1
-    while r < -quarter_pi:
-        r += half_pi
-        k -= 1
+    return num << (e - den.bit_length() + 1), _HALF_PI_INT << (e - _SCALE_BITS), e
+
+
+def half_pi_multiple_minus(q: int, x: float) -> float:
+    """q*pi/2 - x, pi/2 to within 2^-160, correctly rounded (int/int true division is)."""
+    n, h, e = _scaled(x)
+    return (q * h - n) / (1 << e)
+
+
+def _reduce(x: float) -> tuple[float, float, int]:
+    """Reduce x to r = x - k*pi/2 with |r| < pi/4, exactly in integers.
+
+    k is the nearest multiple, floor(x/(pi/2) + 1/2), by floor division.
+    Returns (r_hi, r_lo, k mod 4) where r_hi + r_lo represents r to ~2^-106.
+    """
+    n, h, e = _scaled(x)
+    k = (2 * n + h) // (2 * h)
+    r = n - k * h
     scale = 1 << e
     r_hi = r / scale
     a, b = r_hi.as_integer_ratio()
@@ -223,15 +222,10 @@ def _sin_point(x: float, shift: int) -> tuple[float, float]:
         v = math.cos(x) if shift else math.sin(x)
         return _down(v, 2), _up(v, 2)
     rh, rl, q = _reduce(x)
-    q = (q + shift) & 3
-    if q == 0:
-        v = math.sin(rh) + rl * math.cos(rh)
-    elif q == 1:
-        v = math.cos(rh) - rl * math.sin(rh)
-    elif q == 2:
-        v = -(math.sin(rh) + rl * math.cos(rh))
-    else:
-        v = -(math.cos(rh) - rl * math.sin(rh))
+    q += shift
+    v = math.cos(rh) - rl * math.sin(rh) if q & 1 else math.sin(rh) + rl * math.cos(rh)
+    if q & 2:  # negation is exact
+        v = -v
     return _down(v, 2), _up(v, 2)
 
 
@@ -240,55 +234,31 @@ def _check_budget(a: Interval) -> None:
         raise ArgumentTooLarge(f"trig argument {a!r} beyond reduction budget {ARGUMENT_BUDGET:g}")
 
 
-# A candidate extremum q*pi/2 with |q*pi/2| <= 1e6 + 4pi is placed in floats
-# as q * _HALF_PI_FLOAT.  Its error against the rational q * _HALF_PI_FRAC is
-# |q| * ulp(pi/2)/2 <= 6.4e5 * 1.2e-16 ~ 7e-11 from the constant plus half an
-# ulp at 1e6 ~ 6e-11 from the product: below 2e-10 for |t| <= 1e6.  Adding
-# the tolerance to an endpoint rounds by another 6e-11 at most, so a
-# candidate farther than _PLACE_TOL from both endpoints lands on the same
-# side of each as the rational candidate; only the rest take the exact test.
-_PLACE_TOL = 1e-9
+def _extrema(a: Interval, shift: int) -> tuple[bool, bool]:
+    """Does [a.lo, a.hi] hold a maximum, and a minimum, of sin(t + shift*pi/2)?
 
-
-def _has_extremum(a: Interval, quarter: int) -> bool:
-    """Does [a.lo, a.hi] contain a point (quarter + 4k) * pi/2?
-
-    The verdict is the exact rational one against pi to within 2^-159,
-    scaled by 2^200, except that a point interval answers False: its image
-    is the single value the point kernel already encloses, so inserting an
-    extremum could only widen it (at the one float extremum, cos at 0, the
-    clamp to [-1, 1] gives the same bound).
+    Exact: the quarter turns q with a.lo <= q*pi/2 <= a.hi are first..last,
+    and the maximum sits at q = 1 - shift, the minimum at q = -1 - shift
+    (mod 4); the least q >= first of residue j is first + (j - first) mod 4.
     """
-    if a.lo == a.hi:
-        return False
-    offset = quarter * _HALF_PI_FLOAT
-    k_lo = math.floor((a.lo - offset) / _TWO_PI_FLOAT) - 1
-    k_hi = math.ceil((a.hi - offset) / _TWO_PI_FLOAT) + 1
-    for k in range(k_lo, k_hi + 1):
-        q = quarter + 4 * k
-        m = q * _HALF_PI_FLOAT
-        if m < a.lo - _PLACE_TOL or m > a.hi + _PLACE_TOL:
-            continue
-        if a.lo + _PLACE_TOL < m < a.hi - _PLACE_TOL:
-            return True
-        if Fraction(a.lo) <= q * _HALF_PI_FRAC <= Fraction(a.hi):
-            return True
-    return False
+    n, h, _ = _scaled(a.lo)
+    first = -(-n // h)
+    n, h, _ = _scaled(a.hi)
+    last = n // h
+    return first + (1 - shift - first) % 4 <= last, first + (-1 - shift - first) % 4 <= last
 
 
 def _trig(a: Interval, shift: int) -> Interval:
-    """Enclosure of sin(t + shift*pi/2) over a, split at interior extrema:
-    the maximum sits at quarter turns 1 - shift, the minimum at -1 - shift."""
+    """Enclosure of sin(t + shift*pi/2) over a, split at interior extrema.  A
+    point interval takes none: the point kernel encloses its image (at the one
+    float extremum, cos at 0, the clamp to [-1, 1] gives the same bound)."""
     _check_budget(a)
-    if a.width >= _TWO_PI_FLOAT + 1e-9:
-        return Interval(-1.0, 1.0)
-    lo1, hi1 = _sin_point(a.lo, shift)
-    lo2, hi2 = (lo1, hi1) if a.hi == a.lo else _sin_point(a.hi, shift)
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if _has_extremum(a, 1 - shift):
-        hi = 1.0
-    if _has_extremum(a, -1 - shift):
-        lo = -1.0
+    lo, hi = _sin_point(a.lo, shift)
+    if a.hi != a.lo:
+        lo2, hi2 = _sin_point(a.hi, shift)
+        has_max, has_min = _extrema(a, shift)
+        hi = 1.0 if has_max else max(hi, hi2)
+        lo = -1.0 if has_min else min(lo, lo2)
     return Interval(max(lo, -1.0), min(hi, 1.0))
 
 

@@ -31,6 +31,9 @@ from .roots import (
 
 ENVELOPE_X_MAX = 8.0
 WIRTINGER_N = 50
+# Largest n_max the campaign decides: past it the Lemma 1.3 upper margin,
+# ~pi^3/(3 (alpha_n alpha_{n+1})^3), sinks below the enclosure width.
+VERIFY_N_MAX = 651
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import interval as iv
@@ -32,7 +31,6 @@ from .checks import (
     prove_boxes,
 )
 from .interval import HALF_PI, PI, Interval
-from .interval import _HALF_PI_FRAC  # exact pi/2 for high-precision angle recovery
 
 N_MAX = 10_000
 BRACKET_WIDTH_TARGET = 1e-12
@@ -95,8 +93,8 @@ def find_alpha(n: int) -> RootCertificate:
     whose sign is not proved (never past the ends of the range).  The
     bracket is at most 1e-12 wide, or two ulps of alpha_n when that is
     larger.  A Newton polish inside the bracket gives the point estimate;
-    theta is recovered from the exact rational pi/2 so the tangent residual
-    stays tiny for all n.
+    theta is (2n+1) pi/2 - alpha correctly rounded, with pi/2 to within
+    2^-160, so the tangent residual stays tiny for all n.
     """
     if not (1 <= n <= N_MAX):
         raise ValueError(f"n must be in [1, {N_MAX}], got {n}")
@@ -127,7 +125,7 @@ def find_alpha(n: int) -> RootCertificate:
         x = x_next
 
     def scored(c: float) -> tuple[float, float, float]:
-        th = float((2 * n + 1) * _HALF_PI_FRAC - Fraction(c))
+        th = iv.half_pi_multiple_minus(2 * n + 1, c)
         return abs(c * math.tan(th) - 1.0), c, th
 
     residual, alpha, theta = min(

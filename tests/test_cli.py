@@ -105,7 +105,7 @@ class TestVerify:
         assert exc.value.code == 2
         assert not (tmp_path / "r2.json").exists()
 
-    @pytest.mark.parametrize("n_max", ["0", "-3", "10000", "10001"])
+    @pytest.mark.parametrize("n_max", ["0", "-3", "652", "10000", "10001"])
     def test_n_max_out_of_range_exit_two(self, n_max, monkeypatch, capsys):
         def fail(n_max):
             raise AssertionError("verification ran for an out-of-range --n-max")
@@ -122,8 +122,8 @@ class TestVerify:
             return VerificationReport("0.0.0", {}, [], [])
 
         monkeypatch.setattr("holdercert.cli.run_verification", record)
-        assert main(["verify", "--n-max", "9999", "--out", str(tmp_path / "r.json")]) == 0
-        assert seen == [9999]
+        assert main(["verify", "--n-max", "651", "--out", str(tmp_path / "r.json")]) == 0
+        assert seen == [651]
 
     def test_io_error_exit_two(self, tmp_path):
         assert main(["verify", "--n-max", "1", "--out", str(tmp_path / "no" / "dir.json")]) == 2
@@ -146,8 +146,27 @@ class TestRoots:
         assert float(lines[2].split()[1]) > 7.7245
         assert float(lines[3].split()[1]) > 10.9038
 
-    def test_residual_gate(self, capsys):
-        assert main(["roots", "--n", "5", "--tol", "1e-30"]) == 1
+    def test_residual_gate(self, monkeypatch, capsys):
+        # the gate is alpha ulp(alpha), twice what binary64 alpha alone leaves
+        def loose(n):
+            cert = find_alpha(n)
+            return replace(cert, residual=2 * cert.alpha * math.ulp(cert.alpha)) if n == 3 else cert
+
+        monkeypatch.setattr("holdercert.cli.find_alpha", loose)
+        assert main(["roots", "--n", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "n=3" in captured.err
+        assert len(captured.out.strip().splitlines()) == 4
+
+    def test_no_tol_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--tol", "1e-10"])
+        assert exc.value.code == 2
+
+    def test_every_certified_root_passes_the_gate(self, tmp_path):
+        out = tmp_path / "r.txt"
+        assert main(["roots", "--n", "10000", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 10_001
 
     @pytest.mark.parametrize("n", ["0", "10001"])
     def test_n_out_of_range_exit_two(self, n, monkeypatch, capsys):

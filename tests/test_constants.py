@@ -97,6 +97,12 @@ class TestConstantsRows:
         chain = (1.0 / math.pi**2) * (1.0 / row.alpha_n - 1.0 / row.alpha_np1) ** 2 * row.i_closed
         assert row.c == pytest.approx(chain, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2567, 9999])
+    def test_dual_route_past_float_cancellation(self, n):
+        # in floats 1/alpha_n - 1/alpha_{n+1} loses ~eps (a + b)/delta, which
+        # broke the 1e-12 self-check from n = 2567 on; the rows approach pi/2
+        assert c_n(n).c == pytest.approx(math.pi / 2, abs=2e-4)
+
     def test_large_n_trend(self):
         # rows 50..200 sit below 1.7 (they approach pi/2)
         for n in (50, 100, 150, 200):

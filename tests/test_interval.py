@@ -295,7 +295,7 @@ def test_pi_enclosure():
 
 # -- the exact rational kernel, kept as the reference for the fast paths -------
 
-_HALF_PI_FRAC = iv._HALF_PI_FRAC
+_HALF_PI_FRAC = Fraction(iv._HALF_PI_INT, 2**202)
 
 
 def _reduce_ref(x: float) -> tuple[float, float, int]:
@@ -331,8 +331,10 @@ def _assert_reduce_matches(x: float) -> None:
 
 
 def _assert_extremum_matches(a: Interval) -> None:
-    for quarter in (-2, -1, 0, 1, 2):
-        assert iv._has_extremum(a, quarter) == _has_extremum_ref(a, quarter), (a, quarter)
+    # shifts 0 and 1 ask for quarters 1, -1, 0, -2: every residue mod 4
+    for shift in (0, 1):
+        want = (_has_extremum_ref(a, 1 - shift), _has_extremum_ref(a, -1 - shift))
+        assert iv._extrema(a, shift) == want, (a, shift)
 
 
 def _sin_point_ref(x: float) -> tuple[float, float]:
@@ -370,16 +372,18 @@ def _cos_point_ref(x: float) -> tuple[float, float]:
 
 
 def _trig_ref(a: Interval, point, max_quarter: int, min_quarter: int) -> Interval:
-    """The separate interval sin/cos bodies the shared one replaced."""
+    """The separate interval sin/cos bodies the shared one replaced, with
+    extrema placed in rationals.  Point intervals take them too: the clamp
+    to [-1, 1] must give the same bound at the one float extremum, cos at 0."""
     iv._check_budget(a)
-    if a.width >= iv._TWO_PI_FLOAT + 1e-9:
+    if a.width >= float(4 * _HALF_PI_FRAC) + 1e-9:
         return Interval(-1.0, 1.0)
     lo1, hi1 = point(a.lo)
     lo2, hi2 = (lo1, hi1) if a.hi == a.lo else point(a.hi)
     lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if iv._has_extremum(a, max_quarter):
+    if _has_extremum_ref(a, max_quarter):
         hi = 1.0
-    if iv._has_extremum(a, min_quarter):
+    if _has_extremum_ref(a, min_quarter):
         lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))
 
@@ -414,8 +418,8 @@ def _floats_around_multiples() -> list[float]:
 
 
 class TestExactKernelReference:
-    """The integer reduction and the float-placed extremum test agree with
-    the all-rational kernel bit for bit."""
+    """The integer reduction, the quarter-turn count and q*pi/2 - x agree
+    with the all-rational kernel bit for bit."""
 
     @settings(max_examples=1000, derandomize=True)
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -492,7 +496,44 @@ class TestExactKernelReference:
 
     def test_cos_at_point_zero(self):
         # the one point interval that holds an extremum: 0 = 0 * pi/2; the
-        # clamp to [-1, 1] gives the value inserting the maximum would
+        # count finds it, the point kernel skips it, and the clamp to [-1, 1]
+        # gives the value inserting the maximum would
         assert _has_extremum_ref(Interval.point(0.0), 0)
-        assert not iv._has_extremum(Interval.point(0.0), 0)
+        assert iv._extrema(Interval.point(0.0), 1) == (True, False)
         assert iv.cos(Interval.point(0.0)) == Interval(math.nextafter(math.nextafter(1.0, 0.0), 0.0), 1.0)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(
+        st.integers(min_value=-700_000, max_value=700_000),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    def test_half_pi_multiple_minus_hypothesis(self, q, x):
+        assert iv.half_pi_multiple_minus(q, x).hex() == float(q * _HALF_PI_FRAC - Fraction(x)).hex()
+
+    def test_half_pi_multiple_minus_near_multiples(self):
+        # theta_n = (2n+1) pi/2 - alpha_n cancels all but a few bits of alpha_n
+        for x in _floats_around_multiples():
+            k = round(Fraction(x) / _HALF_PI_FRAC)
+            for q in (k - 1, k, k + 1):
+                want = float(q * _HALF_PI_FRAC - Fraction(x))
+                assert iv.half_pi_multiple_minus(q, x).hex() == want.hex(), (q, x)
+
+    def test_subnormal_operands(self):
+        # these need a scale beyond 2^202 to make x an integer
+        tiny = (5e-324, 3 * 2.0**-1070, 2.0**-1022 - 5e-324, 2.0**-1022, 3 * 2.0**-400, 2.0**-203)
+        for x in (*tiny, *(-t for t in tiny)):
+            assert iv._scaled(x)[2] > 202, x
+            _assert_reduce_matches(x)
+            assert iv.half_pi_multiple_minus(1, x).hex() == float(_HALF_PI_FRAC - Fraction(x)).hex()
+            lo, hi = min(x, 0.0), max(x, 0.0)
+            for a in (
+                Interval.point(x),
+                Interval(lo, hi),
+                Interval(-abs(x), abs(x)),
+                Interval(abs(x), 2.0),
+                Interval(-2.0, -abs(x)),
+                Interval(-abs(x), 2.0),
+                Interval(x, x + 2 * math.pi),
+            ):
+                _assert_extremum_matches(a)
+                _assert_trig_matches(a)

@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 
 from holdercert.checks import FAILED, PASSED
+from holdercert.report import VERIFY_N_MAX
 from holdercert.roots import (
     BRACKET_WIDTH_TARGET,
     CertificationFailure,
@@ -186,6 +187,12 @@ class TestAngleChecks:
     def test_gap_pass(self, n):
         r = check_theta_gap(n)
         assert r.verdict == PASSED and r.margin > 0
+
+    def test_gap_decided_up_to_the_verify_limit(self):
+        # verify accepts n_max up to the last n whose gap lemma is decided
+        assert VERIFY_N_MAX == 651
+        assert check_theta_gap(651).verdict == PASSED
+        assert check_theta_gap(652).verdict != PASSED
 
     def test_proven_negative_gap_fails(self, monkeypatch):
         # swap alpha_5 and alpha_6: the gap enclosure is then proved negative,
