@@ -26,8 +26,6 @@ from .holder import df_iv, f_iv
 from .interval import PI, Interval
 from .roots import alpha_interval, theta_interval
 
-EQUALITY_TOL = 1e-12
-
 
 class ChecklistError(Exception):
     """Malformed checklist expression."""
@@ -110,7 +108,7 @@ def evaluate_item(item: ChecklistItem) -> CheckResult:
         elif isinstance(op, ast.Gt):
             parts.append(certified_less(part_id, item.anchor, rhs, lhs))
         elif isinstance(op, ast.Eq):
-            parts.append(certified_equal(part_id, item.anchor, lhs, rhs, tol=EQUALITY_TOL))
+            parts.append(certified_equal(part_id, item.anchor, lhs, rhs))
         else:
             raise ChecklistError(f"unsupported comparison in {item.expression!r}")
     if len(parts) == 1:
@@ -168,8 +166,6 @@ def builtin_checklist() -> list[ChecklistItem]:
     return load_checklist(BUILTIN_CORPUS, id_prefix="prop-ineq")
 
 
-def check_proposition_inequalities(items: list[ChecklistItem] | None = None) -> list[CheckResult]:
-    """Certify the whole checklist (built-in corpus by default)."""
-    if items is None:
-        items = builtin_checklist()
-    return [evaluate_item(item) for item in items]
+def check_proposition_inequalities() -> list[CheckResult]:
+    """Certify the whole built-in checklist."""
+    return [evaluate_item(item) for item in builtin_checklist()]

@@ -86,9 +86,9 @@ def certified_above_decimal(check_id: str, anchor: str, lhs: Interval, threshold
     return certified_below_decimal(check_id, anchor, -lhs, str(-Fraction(threshold)))
 
 
-def analytic_pass(check_id: str, anchor: str, margin: float = 0.0) -> CheckResult:
+def analytic_pass(check_id: str, anchor: str) -> CheckResult:
     """Record a step discharged by exact reasoning rather than arithmetic."""
-    return CheckResult(check_id, anchor, PASSED, margin)
+    return CheckResult(check_id, anchor, PASSED, 0.0)
 
 
 def merge_results(check_id: str, anchor: str, *results: CheckResult) -> CheckResult:

@@ -36,20 +36,6 @@ from .quadrature import composite_simpson
 from .roots import alpha_interval, find_alpha
 
 
-def _f_factor(a: float, b: float) -> float:
-    return 1.0 + (a * b - 1.0) / ((1.0 + a * a) * (1.0 + b * b))
-
-
-def i_n_closed(n: int) -> float:
-    """Closed form of I_n = integral of u^4 sin^2 u over [alpha_n, alpha_{n+1}].
-
-    I_n = (alpha_{n+1}^5 - alpha_n^5)/10 + delta_n * F_n / 4.
-    """
-    a = find_alpha(n).alpha
-    b = find_alpha(n + 1).alpha
-    return (b**5 - a**5) / 10.0 + (b - a) / 4.0 * _f_factor(a, b)
-
-
 def i_n_quad(n: int) -> float:
     """Quadrature oracle for I_n, independent of the closed form."""
     a = find_alpha(n).alpha
@@ -76,15 +62,16 @@ class ConstantsRow:
 def c_n(n: int) -> ConstantsRow:
     """Fill the constants row for index n, with the dual-route self-check.
 
-    The row is built from the certified point estimates; a disagreement
-    beyond 1e-12 relative between the two C_n assemblies would mean the
-    package's own algebra is broken and raises immediately.
+    The row is built from the certified point estimates, with I_n in the
+    closed form of the module docstring; a disagreement beyond 1e-12
+    relative between the two C_n assemblies would mean the package's own
+    algebra is broken and raises immediately.
     """
     a = find_alpha(n).alpha
     b = find_alpha(n + 1).alpha
     delta = b - a
-    ff = _f_factor(a, b)
-    i_closed = i_n_closed(n)
+    ff = 1.0 + (a * b - 1.0) / ((1.0 + a * a) * (1.0 + b * b))
+    i_closed = (b**5 - a**5) / 10.0 + delta / 4.0 * ff
     prefactor = delta**2 / (math.pi**2 * a**2 * b**2)
     g = prefactor * (b**5 - a**5) / 10.0
     c_lemma = prefactor * i_closed

@@ -208,7 +208,7 @@ def wirtinger_equality_case(tol: float = 1e-9, a: float = 0.0, b: float = 1.0) -
 _STRIP = 1e-3  # mean-value strip at the left edge, discharged analytically
 
 
-def check_envelope(x_max: float = 8.0) -> list[CheckResult]:
+def check_envelope(x_max: float) -> list[CheckResult]:
     """Certify f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, x_max], three regimes,
     plus concavity of f there (f'' <= 0, i.e. sin(1/x) >= 0).
 

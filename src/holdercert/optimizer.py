@@ -271,9 +271,9 @@ class SupremumReport:
 
     sup_estimate: float
     arg: QuotientRecord
-    per_interval: list[tuple[int, float, QuotientRecord]]
+    per_interval: list[tuple[int, QuotientRecord]]
     method_breakdown: dict[str, int]
-    bound_certificate: float
+    bound_certificate: float | None  # None off alpha 1/2: no certified bound
     tail_checks: list[CheckResult]
     alpha_exp: float = 0.5
 
@@ -320,22 +320,19 @@ def global_sup(
         raise ConfigError(f"alpha_exp must lie in (0, 1/2], got {alpha_exp!r}")
 
     records = _piece_sups(range(n_intervals + 1), grid_resolution, x_cap, alpha_exp)
-    per_interval = [(n, rec.q, rec) for n, rec in enumerate(records)]
+    per_interval = list(enumerate(records))
 
-    best_n, best_sup, best_arg = min(
-        ((n, s, a) for n, s, a in per_interval),
-        key=lambda t: (-t[1], t[0], t[2].x, t[2].y),
-    )
-    breakdown = dict(Counter(arg.provenance for _, _, arg in per_interval))
+    _, best_arg = min(per_interval, key=lambda t: (-t[1].q, t[0], t[1].x, t[1].y))
+    breakdown = dict(Counter(arg.provenance for arg in records))
 
     if alpha_exp == 0.5:
         tail = tail_constant_certificate() + _far_pair_certificates()
         bound = tail_sqrt_c_bound()
     else:
         tail = []
-        bound = float("nan")
+        bound = None
     return SupremumReport(
-        sup_estimate=best_sup,
+        sup_estimate=best_arg.q,
         arg=best_arg,
         per_interval=per_interval,
         method_breakdown=breakdown,

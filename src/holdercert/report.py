@@ -8,7 +8,6 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, astuple, dataclass
 
 from . import __version__
@@ -97,10 +96,9 @@ def supremum_dict(s: SupremumReport) -> dict:
         "alpha_exp": s.alpha_exp,
         "sup_estimate": s.sup_estimate,
         "arg": asdict(s.arg),
-        "per_interval": [{"n": n, "sup": v, "arg": asdict(a)} for n, v, a in s.per_interval],
+        "per_interval": [{"n": n, "sup": a.q, "arg": asdict(a)} for n, a in s.per_interval],
         "method_breakdown": s.method_breakdown,
-        # JSON has no NaN: off alpha 1/2 there is no certified bound
-        "bound_certificate": None if math.isnan(s.bound_certificate) else s.bound_certificate,
+        "bound_certificate": s.bound_certificate,
         "tail_checks": [_check_dict(c) for c in s.tail_checks],
     }
 

@@ -67,9 +67,9 @@ class RootCertificate:
     residual: float
 
 
-def _decide_side(m: float, sgn: float) -> bool:
-    """Is sgn*phi certified positive at the point m?"""
-    return (phi_iv(Interval.point(m)) * sgn).lo > 0.0
+def _half_odd_pi(n: int) -> Interval:
+    """Enclosure of (2n+1) pi/2, the right end of the root's range."""
+    return (Interval.point(2 * n + 1) * PI) / 2
 
 
 def _certified_end(x: float, step: float, limit: float, sgn: float, n: int) -> float:
@@ -77,7 +77,7 @@ def _certified_end(x: float, step: float, limit: float, sgn: float, n: int) -> f
     lies on the side step points to) where sgn*phi is certified positive."""
     while True:
         t = min(x + step, limit) if step > 0 else max(x + step, limit)
-        if _decide_side(t, sgn):
+        if (phi_iv(Interval.point(t)) * sgn).lo > 0.0:
             return t
         if t == limit:
             raise CertificationFailure(f"no certified sign change for n={n} up to {limit!r}")
@@ -88,20 +88,20 @@ def _certified_end(x: float, step: float, limit: float, sgn: float, n: int) -> f
 def find_alpha(n: int) -> RootCertificate:
     """Certify the unique root of phi in (n pi, n pi + pi/2).
 
-    Deterministic: float Newton from c - 1/c, c = (2n+1) pi/2, then the
-    certified signs of phi at x -/+ w, w = 1e-12/4, doubling w on a side
-    whose sign is not proved (never past the ends of the range).  The
-    bracket is at most 1e-12 wide, or two ulps of alpha_n when that is
-    larger.  A Newton polish inside the bracket gives the point estimate;
-    theta is (2n+1) pi/2 - alpha correctly rounded, with pi/2 to within
-    2^-160, so the tangent residual stays tiny for all n.
+    Deterministic: float Newton from c - 1/c, c = (2n+1) pi/2, to its fixed
+    point, which is the point estimate alpha; then the certified signs of
+    phi at alpha -/+ w, w = 1e-12/4, doubling w on a side whose sign is not
+    proved (never past the ends of the range).  The bracket is at most
+    1e-12 wide, or two ulps of alpha_n when that is larger.  theta is
+    (2n+1) pi/2 - alpha correctly rounded, with pi/2 to within 2^-160, so
+    the tangent residual stays tiny for all n.
     """
     if not (1 <= n <= N_MAX):
         raise ValueError(f"n must be in [1, {N_MAX}], got {n}")
     sgn = 1.0 if n % 2 == 0 else -1.0  # sgn * phi = (-1)^n * phi
 
     lo = (Interval.point(n) * PI).hi
-    hi = ((Interval.point(2 * n + 1) * PI) / 2).lo
+    hi = _half_odd_pi(n).lo
     c = (2 * n + 1) * (math.pi / 2)
     x = c - 1.0 / c
     for _ in range(NEWTON_STEPS):
@@ -113,25 +113,9 @@ def find_alpha(n: int) -> RootCertificate:
     w = BRACKET_WIDTH_TARGET / 4
     a = _certified_end(x, -w, lo, -sgn, n)
     b = _certified_end(x, w, hi, sgn, n)
-
-    x = 0.5 * (a + b)
-    for _ in range(4):
-        d = dphi(x)
-        if d == 0.0:
-            break
-        x_next = x - phi(x) / d
-        if not (a - 1e-9 <= x_next <= b + 1e-9) or x_next == x:
-            break
-        x = x_next
-
-    def scored(c: float) -> tuple[float, float, float]:
-        th = iv.half_pi_multiple_minus(2 * n + 1, c)
-        return abs(c * math.tan(th) - 1.0), c, th
-
-    residual, alpha, theta = min(
-        scored(c) for c in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
-    )
-    return RootCertificate(n=n, bracket=Interval(a, b), alpha=alpha, theta=theta, residual=residual)
+    theta = iv.half_pi_multiple_minus(2 * n + 1, x)
+    residual = abs(x * math.tan(theta) - 1.0)
+    return RootCertificate(n=n, bracket=Interval(a, b), alpha=x, theta=theta, residual=residual)
 
 
 def alpha_interval(n: int) -> Interval:
@@ -140,7 +124,7 @@ def alpha_interval(n: int) -> Interval:
 
 def theta_interval(n: int) -> Interval:
     """Certified enclosure of theta_n = (2n+1) pi/2 - alpha_n."""
-    return (Interval.point(2 * n + 1) * PI) / 2 - find_alpha(n).bracket
+    return _half_odd_pi(n) - find_alpha(n).bracket
 
 
 # -- certified angle estimates ------------------------------------------------
@@ -164,12 +148,11 @@ def check_theta_upper_bounds(n: int) -> list[CheckResult]:
         inv_alpha,
         inv_npi,
     )
-    c = (Interval.point(2 * n + 1) * PI) / 2
     r2 = certified_less(
         f"L1.1/eq1.2[n={n}]",
         f"Lemma 1.1, (1.2): theta_n < (1+theta_n^2)/(n pi + pi/2) [n={n}]",
         th,
-        (1 + th**2) / c,
+        (1 + th**2) / _half_odd_pi(n),
     )
     big_a = (Interval.point(2 * n + 1) * PI) / 4
     r3 = certified_less(
@@ -185,8 +168,7 @@ def check_theta_lower_bounds(n: int) -> CheckResult:
     """Lemma 1.2: theta_n > sin theta_n > 1/(n pi + pi/2), and the sharper
     (1.4-5): theta_n > arcsin(1/(n pi + pi/2))."""
     th = theta_interval(n)
-    c = (Interval.point(2 * n + 1) * PI) / 2
-    inv_c = 1 / c
+    inv_c = 1 / _half_odd_pi(n)
     chain = certified_chain(
         f"L1.2/chain[n={n}]",
         f"Lemma 1.2: 1/(n pi + pi/2) < sin theta_n < theta_n [n={n}]",

@@ -12,7 +12,6 @@ from holdercert.checks import PASSED
 from holdercert.constants import (
     c_n,
     check_constants_suite,
-    i_n_closed,
     i_n_quad,
     tail_constant_certificate,
     tail_sqrt_c_bound,
@@ -42,11 +41,11 @@ class TestQuadrature:
 class TestOscillationIntegral:
     @pytest.mark.parametrize("n", sorted(I_ORACLE))
     def test_closed_matches_oracle(self, n):
-        assert i_n_closed(n) == pytest.approx(I_ORACLE[n], rel=1e-12)
+        assert c_n(n).i_closed == pytest.approx(I_ORACLE[n], rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50])
     def test_closed_matches_quadrature(self, n):
-        closed = i_n_closed(n)
+        closed = c_n(n).i_closed
         quad = i_n_quad(n)
         assert abs(closed - quad) / quad <= 1e-10
 
@@ -54,7 +53,7 @@ class TestOscillationIntegral:
         # the bracketed factor is positive, so I_n exceeds the quintic part
         for n in (1, 2, 9):
             a, b = find_alpha(n).alpha, find_alpha(n + 1).alpha
-            assert i_n_closed(n) > (b**5 - a**5) / 10.0
+            assert c_n(n).i_closed > (b**5 - a**5) / 10.0
 
     def test_quintic_ratio(self):
         a, b = find_alpha(1).alpha, find_alpha(2).alpha

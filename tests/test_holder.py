@@ -21,6 +21,7 @@ from holdercert.holder import (
     wirtinger_for_interval,
 )
 from holdercert.interval import PI, ArgumentTooLarge, DomainError, Interval
+from holdercert.report import ENVELOPE_X_MAX
 from holdercert.roots import find_alpha
 from oracles import ddf_iv, remap
 
@@ -162,7 +163,7 @@ class TestEnvelope:
         return results, calls[:3]
 
     def test_all_pass(self):
-        results = check_envelope()
+        results = check_envelope(ENVELOPE_X_MAX)
         assert [r.check_id for r in results] == [
             "P2.3/regime1",
             "P2.3/regime2",

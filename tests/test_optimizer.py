@@ -336,12 +336,13 @@ class TestGlobalSup:
         assert rep.arg.q == rep.sup_estimate
         assert rep.bound_certificate == pytest.approx(math.sqrt(1.83012), rel=1e-12)
         assert all(r.verdict == PASSED for r in rep.tail_checks)
-        assert len(rep.per_interval) == 21
+        assert [n for n, _ in rep.per_interval] == list(range(21))
+        assert rep.sup_estimate == max(rec.q for _, rec in rep.per_interval)
         assert sum(rep.method_breakdown.values()) == 21
 
     def test_per_interval_decreasing(self):
         rep = global_sup(10, 8.0, 256)
-        sups = {n: s for n, s, _ in rep.per_interval}
+        sups = {n: rec.q for n, rec in rep.per_interval}
         assert sups[10] <= sups[2] + 1e-9
 
     def test_deterministic(self):
@@ -361,7 +362,7 @@ class TestGlobalSup:
         rep = global_sup(3, 8.0, 128, alpha_exp=0.4)
         assert math.isfinite(rep.sup_estimate)
         assert rep.tail_checks == []
-        assert math.isnan(rep.bound_certificate)
+        assert rep.bound_certificate is None
 
     def test_validation(self):
         with pytest.raises(ConfigError):

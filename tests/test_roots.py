@@ -12,8 +12,10 @@ import pytest
 
 from holdercert.checks import FAILED, PASSED
 from holdercert.report import VERIFY_N_MAX
+from holdercert import interval as iv
 from holdercert.roots import (
     BRACKET_WIDTH_TARGET,
+    N_MAX,
     CertificationFailure,
     RootCertificate,
     alpha_interval,
@@ -21,6 +23,7 @@ from holdercert.roots import (
     check_theta_gap,
     check_theta_lower_bounds,
     check_theta_upper_bounds,
+    dphi,
     find_alpha,
     phi,
     phi_iv,
@@ -145,6 +148,21 @@ class TestCertificates:
     def test_theta_monotone_drift(self):
         thetas = [find_alpha(n).theta for n in range(1, 60)]
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
+
+    def test_point_estimate_is_the_newton_fixed_point(self):
+        # the fixed point is the best float for alpha_n: no float neighbour
+        # has a smaller tangent residual
+        def residual(n, x):
+            return abs(x * math.tan(iv.half_pi_multiple_minus(2 * n + 1, x)) - 1.0)
+
+        for n in range(1, N_MAX + 1):
+            cert = find_alpha(n)
+            x = cert.alpha
+            assert x - phi(x) / dphi(x) == x
+            assert cert.theta == iv.half_pi_multiple_minus(2 * n + 1, x)
+            assert cert.residual == residual(n, x)
+            assert cert.residual <= residual(n, math.nextafter(x, -math.inf))
+            assert cert.residual <= residual(n, math.nextafter(x, math.inf))
 
     def test_tangent_identity(self):
         for n in (1, 2, 30, 200):
