@@ -26,8 +26,6 @@ from .report import (
 )
 from .roots import N_MAX, find_alpha
 
-import numpy as np
-
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
@@ -91,11 +89,13 @@ def cmd_landscape(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n must be in [0, {N_MAX - 1}], got {args.n}")
     if args.resolution < 2:
         raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
-    if not np.isfinite(args.x_cap):
+    if not math.isfinite(args.x_cap):
         raise ConfigError(f"x_cap must be finite, got {args.x_cap!r}")
     lo, hi = piece_bounds(args.n, args.x_cap)
     if not lo < hi:  # J_0 is cut at x_cap, which must lie right of 1/alpha_1
         raise ConfigError(f"x_cap must exceed the left end {lo!r} of J_0, got {args.x_cap!r}")
+    import numpy as np
+
     xs = np.linspace(lo, hi, args.resolution).tolist()
     fv = [f(x) for x in xs]
     rows = ["x,y,q"]

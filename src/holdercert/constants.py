@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import interval as iv
 from .checks import (
     CheckResult,
@@ -38,6 +36,8 @@ from .roots import alpha_interval, find_alpha
 
 def i_n_quad(n: int) -> float:
     """Quadrature oracle for I_n, independent of the closed form."""
+    import numpy as np
+
     a = find_alpha(n).alpha
     b = find_alpha(n + 1).alpha
     return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b, rel_tol=1e-12)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import interval as iv
 from .checks import (
     CheckResult,
@@ -162,6 +160,8 @@ def wirtinger_for_interval(n: int) -> CheckResult:
     Quadrature-based numerical check (g vanishes at both ends since the
     interval ends are stationary points of f).
     """
+    import numpy as np
+
     a = 1.0 / find_alpha(n + 1).alpha
     b = 1.0 / find_alpha(n).alpha
 
@@ -184,6 +184,8 @@ def wirtinger_for_interval(n: int) -> CheckResult:
 
 def wirtinger_equality_case(tol: float = 1e-9, a: float = 0.0, b: float = 1.0) -> CheckResult:
     """Equality case g(t) = sin(pi (t-a)/(b-a)): both sides must agree to tol."""
+    import numpy as np
+
     w = b - a
 
     def g_sq(t):

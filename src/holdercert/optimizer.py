@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .checks import CheckResult, analytic_pass, certified_less
 from .constants import tail_constant_certificate, tail_sqrt_c_bound
@@ -24,6 +23,9 @@ from . import interval as iv
 from .interval import PI
 from .holder import QuotientRecord, df, ddf, f, piece_bounds, quotient
 from .roots import N_MAX, theta_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConfigError(Exception):
@@ -34,7 +36,6 @@ STATIONARY_TOL = 1e-12
 _SWEEP_BLOCK_POINTS = 2**15  # grid points per sweep block: bounds its working memory
 _LB_STRIDE = 8  # the sweep's lower bound is the best pair of every 8th grid point
 _SLACK = 1.0 + 1e-9  # widening of the sweep's pruning bounds against float error
-_PROBE_STEPS = np.arange(17) - 8  # descent probe k sits at base + h*(k-8)/8
 
 
 def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, float, float] | None:
@@ -127,7 +128,7 @@ def critical_pair(n: int, x_cap: float = 8.0) -> QuotientRecord | None:
 def _quotients(xa, fa, xb, fb, alpha_exp: float) -> np.ndarray:
     """The sweep's quotient |fb - fa| / (xb - xa)^alpha_exp.  The scan and
     its lower bound share this expression, so both give the same bits."""
-    return np.abs(fb - fa) / (xb - xa) ** alpha_exp
+    return abs(fb - fa) / (xb - xa) ** alpha_exp
 
 
 def _sweep_plan(xs: np.ndarray, fv: np.ndarray, alpha_exp: float) -> tuple[np.ndarray, ...]:
@@ -146,6 +147,8 @@ def _sweep_plan(xs: np.ndarray, fv: np.ndarray, alpha_exp: float) -> tuple[np.nd
     A piece whose grid is not finite and strictly increasing is scanned in
     full.
     """
+    import numpy as np
+
     n = xs.shape[1]
     sx, sf = xs[:, ::_LB_STRIDE], fv[:, ::_LB_STRIDE]
     dx = np.diff(xs, axis=1)
@@ -183,6 +186,8 @@ def _grid_sweep(
     is the one the full scan finds, bit for bit.  A row starts at the
     first column any kept piece of the block needs.
     """
+    import numpy as np
+
     starts: list[tuple[float, float]] = []
     block = max(1, _SWEEP_BLOCK_POINTS // points)
     for b in range(0, len(bounds), block):
@@ -228,6 +233,8 @@ def _coordinate_descent(
     ``holder.quotient``.  np.power differs from pow in the last bit (at
     alpha 1/2 it takes sqrt), which moves the winning probe.
     """
+    import numpy as np
+
     x, y = (np.array(v, dtype=float) for v in zip(*starts))
     lo, hi = (np.array(v, dtype=float)[:, None] for v in zip(*bounds))
     h = np.array(h0, dtype=float)[:, None]
@@ -237,7 +244,7 @@ def _coordinate_descent(
         for _ in range(50):
             for axis in (0, 1):
                 base, fbase, other, fother = (x, fx, y, fy) if axis == 0 else (y, fy, x, fx)
-                g = base[:, None] + h * _PROBE_STEPS / 8.0
+                g = base[:, None] + h * (np.arange(17) - 8) / 8.0
                 fg = g * np.sin(1.0 / g)
                 fg[:, 8] = fbase  # probe 8 is the base point
                 px, py = (g, other[:, None]) if axis == 0 else (other[:, None], g)

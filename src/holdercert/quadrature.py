@@ -7,8 +7,6 @@ fixed, so results are bit-reproducible.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class QuadratureBudgetExceeded(Exception):
     """Panel doubling hit the budget before reaching the tolerance."""
@@ -23,6 +21,7 @@ def composite_simpson(f, a: float, b: float, rel_tol: float = 1e-12, max_panels:
         raise ValueError(f"rel_tol must lie in [1e-14, 1e-6], got {rel_tol:g}")
     if a == b:
         return 0.0
+    import numpy as np
 
     def simpson(panels: int) -> float:
         x = np.linspace(a, b, 2 * panels + 1)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -321,3 +323,63 @@ class TestLandscape:
         assert main(["landscape", "--n", "0", "--resolution", "2", "--x-cap", "0.3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * 2
 
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that has imported nothing of the package."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+
+
+class TestImports:
+    """numpy loads only in the commands that compute with arrays."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (None, None),
+            (["--version"], 0),
+            (["--help"], 0),
+            (["roots", "--n", "50"], 0),
+            (["verify", "--n-max", "652"], 2),
+            (["constants", "--n", "10000"], 2),
+            (["norm", "--resolution", "63"], 2),
+            (["landscape", "--x-cap", "inf"], 2),
+        ],
+    )
+    def test_no_numpy(self, argv, code):
+        if argv is None:
+            run = ""
+        else:
+            run = f"""
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+assert code == {code!r}, code
+"""
+        proc = _fresh(
+            "import sys\nimport holdercert\nfrom holdercert.cli import main\n"
+            + run
+            + "sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_norm_loads_numpy_when_it_searches(self):
+        proc = _fresh(
+            "import sys\nfrom holdercert.cli import main\n"
+            "assert main(['norm', '--n', '2', '--resolution', '64']) == 0\n"
+            "assert 'numpy' in sys.modules"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["sup_estimate"] - 1.33836) < 1e-5
+
+    def test_cli_imports_the_modules_the_bench_recorder_wraps(self):
+        # bench/layers.py rebinds optimizer.f/df/ddf through sys.modules and
+        # counts quadrature.composite_simpson calls, all after importing the cli
+        proc = _fresh(
+            "import sys\nimport holdercert.cli\n"
+            "assert {'holdercert.optimizer', 'holdercert.quadrature'} <= set(sys.modules)\n"
+            "from holdercert import holder, optimizer\n"
+            "assert optimizer.f is holder.f and optimizer.df is holder.df and optimizer.ddf is holder.ddf"
+        )
+        assert proc.returncode == 0, proc.stderr
