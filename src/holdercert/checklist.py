@@ -8,17 +8,16 @@ Each item is one comparison expression in a small vocabulary:
 
 Comparisons: ``a < b``, ``a > b`` (strict, interval-certified), chains
 ``a < b < c``, and ``a == b`` meaning certified agreement within 1e-12.
-A trailing ``# text`` on a line is kept as the claim anchor.
+The ``# text`` after each expression is the claim anchor.
 
 The built-in corpus covers every scalar inequality consumed by the
 contradiction arguments around the two delicate quotient maxima
-(Props 2.2 and 2.4); it is parsed through the same loader as user files.
+(Props 2.2 and 2.4).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 from . import interval as iv
 from .checks import CheckResult, certified_equal, certified_less, merge_results
@@ -29,13 +28,6 @@ from .roots import alpha_interval, theta_interval
 
 class ChecklistError(Exception):
     """Malformed checklist expression."""
-
-
-@dataclass(frozen=True)
-class ChecklistItem:
-    item_id: str
-    anchor: str
-    expression: str
 
 
 _FUNCTIONS = {
@@ -90,45 +82,30 @@ def _eval_node(node: ast.expr) -> Interval:
     raise ChecklistError(f"unsupported syntax {ast.dump(node)}")
 
 
-def evaluate_item(item: ChecklistItem) -> CheckResult:
+def _evaluate(item_id: str, anchor: str, expression: str) -> CheckResult:
     """Certify one checklist expression; strictness comes from intervals."""
     try:
-        tree = ast.parse(item.expression, mode="eval")
+        tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
-        raise ChecklistError(f"cannot parse {item.expression!r}: {exc}") from exc
+        raise ChecklistError(f"cannot parse {expression!r}: {exc}") from exc
     node = tree.body
     if not isinstance(node, ast.Compare):
-        raise ChecklistError(f"expression must be a comparison: {item.expression!r}")
+        raise ChecklistError(f"expression must be a comparison: {expression!r}")
     operands = [_eval_node(n) for n in [node.left, *node.comparators]]
     parts: list[CheckResult] = []
     for i, (op, lhs, rhs) in enumerate(zip(node.ops, operands, operands[1:])):
-        part_id = f"{item.item_id}/{i}" if len(node.ops) > 1 else item.item_id
+        part_id = f"{item_id}/{i}" if len(node.ops) > 1 else item_id
         if isinstance(op, ast.Lt):
-            parts.append(certified_less(part_id, item.anchor, lhs, rhs))
+            parts.append(certified_less(part_id, anchor, lhs, rhs))
         elif isinstance(op, ast.Gt):
-            parts.append(certified_less(part_id, item.anchor, rhs, lhs))
+            parts.append(certified_less(part_id, anchor, rhs, lhs))
         elif isinstance(op, ast.Eq):
-            parts.append(certified_equal(part_id, item.anchor, lhs, rhs))
+            parts.append(certified_equal(part_id, anchor, lhs, rhs))
         else:
-            raise ChecklistError(f"unsupported comparison in {item.expression!r}")
+            raise ChecklistError(f"unsupported comparison in {expression!r}")
     if len(parts) == 1:
         return parts[0]
-    return merge_results(item.item_id, item.anchor, *parts)
-
-
-def load_checklist(text: str, id_prefix: str = "checklist") -> list[ChecklistItem]:
-    """Parse checklist text: one expression per line, '#' starts a comment;
-    a trailing comment on an expression line becomes the item's anchor."""
-    items: list[ChecklistItem] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        expr, _, comment = line.partition("#")
-        expr = expr.strip()
-        anchor = comment.strip() or expr
-        items.append(ChecklistItem(f"{id_prefix}/{len(items):02d}", anchor, expr))
-    return items
+    return merge_results(item_id, anchor, *parts)
 
 
 BUILTIN_CORPUS = """
@@ -162,10 +139,9 @@ pi/2.6 > 1.2                                              # Prop 2.4 proof: pi/2
 """
 
 
-def builtin_checklist() -> list[ChecklistItem]:
-    return load_checklist(BUILTIN_CORPUS, id_prefix="prop-ineq")
-
-
 def check_proposition_inequalities() -> list[CheckResult]:
-    """Certify the whole built-in checklist."""
-    return [evaluate_item(item) for item in builtin_checklist()]
+    """Certify the built-in corpus, one check per expression line, in order;
+    comment-only and blank lines are skipped."""
+    lines = (line.partition("#") for line in BUILTIN_CORPUS.splitlines())
+    items = [(expr.strip(), anchor.strip()) for expr, _, anchor in lines if expr.strip()]
+    return [_evaluate(f"prop-ineq/{i:02d}", anchor, expr) for i, (expr, anchor) in enumerate(items)]

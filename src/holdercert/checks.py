@@ -22,6 +22,7 @@ PASSED = "passed"
 FAILED = "failed"
 UNDECIDED = "undecided"
 SUBDIVISION_BUDGET = 1_000_000  # boxes one box proof may process
+EQUAL_TOL = 1e-12  # what certified_equal accepts as agreement
 
 
 @dataclass(frozen=True)
@@ -59,26 +60,31 @@ def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult
     return merge_results(check_id, anchor, *links)
 
 
-def certified_equal(
-    check_id: str, anchor: str, lhs: Interval, rhs: Interval, tol: float = 1e-12
-) -> CheckResult:
-    """Certify |lhs - rhs| <= tol from the enclosure of the difference."""
+def _round_down(q: Fraction) -> float:
+    """The largest double <= q: a margin never claims more room than q."""
+    x = float(q)
+    return math.nextafter(x, -math.inf) if Fraction(x) > q else x
+
+
+def certified_equal(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> CheckResult:
+    """Certify |lhs - rhs| <= EQUAL_TOL from the enclosure of the difference."""
     diff = lhs - rhs
     dev = max(abs(diff.lo), abs(diff.hi))
-    verdict = PASSED if dev <= tol else FAILED
-    return CheckResult(check_id, anchor, verdict, tol - dev)
+    verdict = PASSED if dev <= EQUAL_TOL else FAILED
+    return CheckResult(check_id, anchor, verdict, _round_down(Fraction(EQUAL_TOL) - Fraction(dev)))
 
 
 def certified_below_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
     """Certify lhs < threshold where threshold is an exact decimal literal.
 
     The comparison is done in exact rational arithmetic against the decimal
-    value, so a threshold like 0.12 never suffers binary rounding.
+    value, so a threshold like 0.12 never suffers binary rounding; the
+    margin is the exact gap rounded down.
     """
     t = Fraction(threshold)
     hi = Fraction(lhs.hi)
     verdict = PASSED if hi < t else (UNDECIDED if Fraction(lhs.lo) < t else FAILED)
-    return CheckResult(check_id, anchor, verdict, float(t - hi))
+    return CheckResult(check_id, anchor, verdict, _round_down(t - hi))
 
 
 def certified_above_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
@@ -104,12 +110,13 @@ def merge_results(check_id: str, anchor: str, *results: CheckResult) -> CheckRes
 
 
 def subdivide(
-    margin: Callable[[Interval], float], boxes: Iterable[Interval], budget: int
+    margin: Callable[[Interval], float], boxes: Iterable[Interval]
 ) -> Iterator[tuple[Interval, float]]:
     """Bisect depth first until margin(box) > 0; yield (leaf, margin(leaf)).
 
-    A box stops splitting once ``budget`` boxes have been processed or when
-    its midpoint is not strictly inside it; it is then an unproved leaf.
+    A box stops splitting once ``SUBDIVISION_BUDGET`` boxes have been
+    processed or when its midpoint is not strictly inside it; it is then
+    an unproved leaf.
     """
     stack = list(boxes)
     processed = 0
@@ -117,7 +124,7 @@ def subdivide(
         box = stack.pop()
         processed += 1
         value = margin(box)
-        if not value > 0.0 and processed < budget:
+        if not value > 0.0 and processed < SUBDIVISION_BUDGET:
             m = box.mid
             if box.lo < m < box.hi:
                 stack.append(Interval(box.lo, m))
@@ -135,7 +142,7 @@ def prove_boxes(
     margin is the weakest leaf's.
     """
     verdict, worst = PASSED, math.inf
-    for _, value in subdivide(margin, boxes, SUBDIVISION_BUDGET):
+    for _, value in subdivide(margin, boxes):
         worst = min(worst, value)
         if not value > 0.0:
             verdict = UNDECIDED

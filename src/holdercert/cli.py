@@ -94,9 +94,9 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     lo, hi = piece_bounds(args.n, args.x_cap)
     if not lo < hi:  # J_0 is cut at x_cap, which must lie right of 1/alpha_1
         raise ConfigError(f"x_cap must exceed the left end {lo!r} of J_0, got {args.x_cap!r}")
-    import numpy as np
-
-    xs = np.linspace(lo, hi, args.resolution).tolist()
+    step = (hi - lo) / (args.resolution - 1)
+    xs = [lo + i * step for i in range(args.resolution)]  # np.linspace's points, bit for bit
+    xs[-1] = hi
     fv = [f(x) for x in xs]
     rows = ["x,y,q"]
     for x, fx in zip(xs, fv):

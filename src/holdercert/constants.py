@@ -40,7 +40,7 @@ def i_n_quad(n: int) -> float:
 
     a = find_alpha(n).alpha
     b = find_alpha(n + 1).alpha
-    return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b, rel_tol=1e-12)
+    return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b)
 
 
 @dataclass(frozen=True)

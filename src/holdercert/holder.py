@@ -28,7 +28,7 @@ from .interval import PI, DomainError, Interval
 from .quadrature import composite_simpson
 from .roots import N_MAX, find_alpha, theta_interval, alpha_interval
 
-X_FLOOR = 1e-6  # interval forms need 1/x within the trig reduction budget
+ENVELOPE_X_MAX = 8.0  # right end of the envelope proof (Prop 2.3)
 
 
 # -- f and derivatives ---------------------------------------------------------
@@ -59,10 +59,6 @@ def ddf(x: float) -> float:
 def _recip(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise DomainError(f"interval form requires x > 0, got {x!r}")
-    if x.lo < X_FLOOR:
-        raise iv.ArgumentTooLarge(
-            f"1/x beyond trig reduction budget for {x!r} (floor {X_FLOOR:g})"
-        )
     return 1 / x
 
 
@@ -150,8 +146,8 @@ def quotient(x: float, y: float, alpha_exp: float = 0.5, provenance: str = "grid
 
 def _wirtinger_sides(g_sq, dg_sq, a: float, b: float) -> tuple[float, float]:
     """Both sides of int g^2 <= ((b-a)/pi)^2 int (g')^2 over [a, b], by quadrature."""
-    lhs = composite_simpson(g_sq, a, b, rel_tol=1e-12)
-    return lhs, ((b - a) / math.pi) ** 2 * composite_simpson(dg_sq, a, b, rel_tol=1e-12)
+    lhs = composite_simpson(g_sq, a, b)
+    return lhs, ((b - a) / math.pi) ** 2 * composite_simpson(dg_sq, a, b)
 
 
 def wirtinger_for_interval(n: int) -> CheckResult:
@@ -182,26 +178,19 @@ def wirtinger_for_interval(n: int) -> CheckResult:
     )
 
 
-def wirtinger_equality_case(tol: float = 1e-9, a: float = 0.0, b: float = 1.0) -> CheckResult:
-    """Equality case g(t) = sin(pi (t-a)/(b-a)): both sides must agree to tol."""
+def wirtinger_equality_case() -> CheckResult:
+    """Equality case g(t) = sin(pi t) on [0, 1]: both sides must agree to 1e-9."""
     import numpy as np
 
-    w = b - a
-
-    def g_sq(t):
-        return np.sin(math.pi * (t - a) / w) ** 2
-
-    def dg_sq(t):
-        return (math.pi / w * np.cos(math.pi * (t - a) / w)) ** 2
-
-    lhs, rhs = _wirtinger_sides(g_sq, dg_sq, a, b)
-    ratio = lhs / rhs
-    verdict = PASSED if abs(ratio - 1.0) <= tol else FAILED
+    lhs, rhs = _wirtinger_sides(
+        lambda t: np.sin(math.pi * t) ** 2, lambda t: (math.pi * np.cos(math.pi * t)) ** 2, 0.0, 1.0
+    )
+    dev = abs(lhs / rhs - 1.0)
     return CheckResult(
         "L1.6/equality",
-        f"Lemma 1.6 equality case, g = sine arch on [{a:g}, {b:g}]: ratio = 1 +/- {tol:g}",
-        verdict,
-        tol - abs(ratio - 1.0),
+        "Lemma 1.6 equality case, g = sine arch on [0, 1]: ratio = 1 +/- 1e-09",
+        PASSED if dev <= 1e-9 else FAILED,
+        1e-9 - dev,
     )
 
 
@@ -210,23 +199,24 @@ def wirtinger_equality_case(tol: float = 1e-9, a: float = 0.0, b: float = 1.0) -
 _STRIP = 1e-3  # mean-value strip at the left edge, discharged analytically
 
 
-def check_envelope(x_max: float) -> list[CheckResult]:
+def check_envelope() -> list[CheckResult]:
     """Certify f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, x_max], three regimes,
-    plus concavity of f there (f'' <= 0, i.e. sin(1/x) >= 0).
+    plus concavity of f there (f'' <= 0, i.e. sin(1/x) >= 0); x_max is
+    ENVELOPE_X_MAX.
 
-    The left strip [1/pi, 1/pi + 1e-3] is the mean-value regime:
+    The left strip [1/pi, s] with s ~ 1/pi + 1e-3 is the mean-value regime:
     f(1/pi) = 0 exactly, f' <= f'(1/pi) = pi by concavity, so
-    f(x) <= pi eps <= sqrt(2 eps) as long as pi^2 eps <= 2; the strip is
-    far inside that.  Every box to the right is certified directly:
-    the envelope is increasing, so max f over the box is compared with
-    the envelope at the box's left edge.
+    f(x) <= pi eps <= sqrt(2 eps) as long as pi^2 eps <= 2, which is
+    certified for eps = s - 1/pi.  Every box from s on is certified
+    directly: the envelope is increasing, so max f over the box is
+    compared with the envelope at the box's left edge.
     """
     # regime edges (floats); each regime is proved from its own start box
     e1 = 1.0 / math.pi + 2.0 / math.pi**2
     e2 = 1.0 / math.pi + 0.5
-    if not e2 < x_max < math.inf:  # every regime needs a proved box; also rejects NaN
-        raise DomainError(f"x_max must be finite and exceed 1/pi + 1/2, got {x_max!r}")
+    x_max = ENVELOPE_X_MAX
     inv_pi = 1 / PI
+    strip_end = inv_pi.hi + _STRIP
 
     def envelope_margin(box: Interval) -> float:
         rhs = iv.sqrt((Interval.point(box.lo) - inv_pi) * 2)
@@ -239,11 +229,11 @@ def check_envelope(x_max: float) -> list[CheckResult]:
             certified_less(
                 "P2.3/strip-scalar",
                 "Prop 2.3, (2.10) left strip: pi^2 * strip_width < 2 (mean-value regime)",
-                PI**2 * Interval.point(_STRIP),
+                PI**2 * (Interval.point(strip_end) - inv_pi),
                 Interval.point(2.0),
             ),
             analytic_pass("P2.3/strip-identity", "f(1/pi) = sin(pi)/pi = 0 exactly"),
-            prove_boxes("P2.3/regime1-boxes", "boxes", envelope_margin, [Interval(inv_pi.hi + _STRIP, e1)]),
+            prove_boxes("P2.3/regime1-boxes", "boxes", envelope_margin, [Interval(strip_end, e1)]),
         ),
         prove_boxes(
             "P2.3/regime2",

@@ -84,21 +84,20 @@ def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, flo
     return (x, y, res) if res <= STATIONARY_TOL else None
 
 
-def critical_pair(n: int, x_cap: float = 8.0) -> QuotientRecord | None:
+def critical_pair(n: int) -> QuotientRecord | None:
     """Best interior stationary pair of the quotient on a piece.
 
-    Deterministic 5x5 grid of interior starts; for the unbounded piece the
-    starts live in [1/alpha_1, 4/pi] (pairs reaching past 4/pi are covered
+    Deterministic 5x5 grid of interior starts; the unbounded piece is cut
+    at 4/pi, below every search cap (pairs reaching past 4/pi are covered
     by the analytic far-pair certificates, and the stationarity system has
     no interesting solutions out on the flat tail).
     """
     if n < 0:
         raise ConfigError(f"critical_pair needs n >= 0, got {n}")
-    lo, hi = piece_bounds(n, x_cap)
+    lo, hi = piece_bounds(n, 4.0 / math.pi)
     if n == 0:
         # interior pairs split around 1/pi (left of it f has the last lobe,
         # right of it f is concave); seed the two coordinates accordingly
-        hi = min(hi, 4.0 / math.pi)
         mid = 1.0 / math.pi
         x_starts = [lo + (mid - lo) * (i + 1) / 6.0 for i in range(5)]
         y_starts = [mid + (hi - mid) * (i + 1) / 6.0 for i in range(5)]
@@ -282,7 +281,7 @@ class SupremumReport:
     method_breakdown: dict[str, int]
     bound_certificate: float | None  # None off alpha 1/2: no certified bound
     tail_checks: list[CheckResult]
-    alpha_exp: float = 0.5
+    alpha_exp: float
 
 
 def _far_pair_certificates() -> list[CheckResult]:

@@ -15,6 +15,7 @@ from .checklist import check_proposition_inequalities
 from .checks import CheckResult, FAILED, PASSED, UNDECIDED
 from .constants import ConstantsRow, c_n, check_constants_suite, tail_constant_certificate
 from .holder import (
+    ENVELOPE_X_MAX,
     check_envelope,
     check_nesting,
     wirtinger_equality_case,
@@ -28,7 +29,6 @@ from .roots import (
     check_theta_upper_bounds,
 )
 
-ENVELOPE_X_MAX = 8.0
 WIRTINGER_N = 50
 # Largest n_max the campaign decides: past it the Lemma 1.3 upper margin,
 # ~pi^3/(3 (alpha_n alpha_{n+1})^3), sinks below the enclosure width.
@@ -68,7 +68,7 @@ def run_verification(n_max: int = 200) -> VerificationReport:
     checks.append(wirtinger_equality_case())
     for n in range(1, min(n_max, WIRTINGER_N) + 1):
         checks.append(wirtinger_for_interval(n))
-    checks.extend(check_envelope(ENVELOPE_X_MAX))
+    checks.extend(check_envelope())
     checks.extend(check_nesting(n_max))
     checks.extend(check_proposition_inequalities())
     table = [c_n(n) for n in range(1, n_max + 1)]

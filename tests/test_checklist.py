@@ -1,4 +1,4 @@
-"""Checklist engine: the built-in corpus, file loading, and the evaluator."""
+"""Checklist engine: the built-in corpus, its parsing, and the evaluator."""
 
 import ast
 from fractions import Fraction
@@ -8,14 +8,17 @@ import pytest
 from holdercert.checklist import (
     BUILTIN_CORPUS,
     ChecklistError,
-    ChecklistItem,
     _eval_node,
-    builtin_checklist,
+    _evaluate,
     check_proposition_inequalities,
-    evaluate_item,
-    load_checklist,
 )
 from holdercert.checks import FAILED, PASSED
+
+
+def _expressions() -> list[str]:
+    """The corpus's expressions, read off its lines independently."""
+    lines = [line.strip() for line in BUILTIN_CORPUS.splitlines()]
+    return [line.split("#")[0].strip() for line in lines if line and not line.startswith("#")]
 
 
 class TestBuiltinCorpus:
@@ -25,16 +28,16 @@ class TestBuiltinCorpus:
         assert all(r.verdict == PASSED for r in results)
 
     def test_anchor_strings_nonempty(self):
-        for item in builtin_checklist():
-            assert item.anchor.strip()
-            assert "Prop" in item.anchor
+        for r in check_proposition_inequalities():
+            assert r.anchor.strip()
+            assert "Prop" in r.anchor
 
     def test_literals_enclose_their_decimals(self):
         texts = set()
-        for item in builtin_checklist():
-            for node in ast.walk(ast.parse(item.expression, mode="eval")):
+        for expression in _expressions():
+            for node in ast.walk(ast.parse(expression, mode="eval")):
                 if isinstance(node, ast.Constant) and isinstance(node.value, float):
-                    text = ast.get_source_segment(item.expression, node)
+                    text = ast.get_source_segment(expression, node)
                     box = _eval_node(node)
                     assert Fraction(box.lo) <= Fraction(text) <= Fraction(box.hi), text
                     texts.add(text)
@@ -53,29 +56,21 @@ class TestBuiltinCorpus:
 
 
 class TestLoader:
-    def test_roundtrip_through_file(self, tmp_path):
-        path = tmp_path / "items.txt"
-        path.write_text(BUILTIN_CORPUS)
-        items = load_checklist(path.read_text(), id_prefix="fromfile")
-        builtin = builtin_checklist()
-        assert [i.expression for i in items] == [i.expression for i in builtin]
-        assert [i.anchor for i in items] == [i.anchor for i in builtin]
-        results = [evaluate_item(i) for i in items]
-        assert all(r.verdict == PASSED for r in results)
-
-    def test_anchor_defaults_to_expression(self):
-        items = load_checklist("1 < 2\n")
-        assert items[0].anchor == "1 < 2"
+    """How check_proposition_inequalities reads the corpus text."""
 
     def test_comments_and_blanks_skipped(self):
-        items = load_checklist("# header\n\n1 < 2  # trivial\n")
-        assert len(items) == 1
-        assert items[0].anchor == "trivial"
+        lines = BUILTIN_CORPUS.splitlines()
+        assert "" in lines and any(line.startswith("#") for line in lines)  # both kinds occur
+        results = check_proposition_inequalities()
+        # one check per expression line, numbered in order, anchored by its comment
+        assert [r.check_id for r in results] == [f"prop-ineq/{i:02d}" for i in range(len(_expressions()))]
+        assert results[0].anchor == "Prop 2.2 proof: |f'(4/(9pi))| = (sqrt2/2)(9pi/4 - 1)"
+        assert results[-1].anchor == "Prop 2.4 proof: pi/2.6 > 1.2"
 
 
 class TestEvaluator:
     def run(self, expr: str):
-        return evaluate_item(ChecklistItem("t", "t", expr))
+        return _evaluate("t", "t", expr)
 
     def test_trivial_pass_fail(self):
         assert self.run("1 < 2").verdict == PASSED

@@ -11,6 +11,7 @@ import pytest
 from holdercert.checks import CheckResult
 from holdercert.cli import main
 from holdercert.constants import ConstantsRow
+from holdercert.holder import piece_bounds
 from holdercert.optimizer import global_sup
 from holdercert.report import (
     VerificationReport,
@@ -318,6 +319,15 @@ class TestLandscape:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, resolution", [(0, 64), (3, 64), (1, 7), (200, 100)])
+    def test_grid_is_linspace(self, tmp_path, n, resolution):
+        import numpy as np
+
+        out = tmp_path / "l.csv"
+        assert main(["landscape", "--n", str(n), "--resolution", str(resolution), "--out", str(out)]) == 0
+        xs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1::resolution]]
+        assert xs == np.linspace(*piece_bounds(n, 8.0), resolution).tolist()
+
     def test_smallest_grid(self, tmp_path):
         out = tmp_path / "l.csv"
         assert main(["landscape", "--n", "0", "--resolution", "2", "--x-cap", "0.3", "--out", str(out)]) == 0
@@ -344,6 +354,7 @@ class TestImports:
             (["constants", "--n", "10000"], 2),
             (["norm", "--resolution", "63"], 2),
             (["landscape", "--x-cap", "inf"], 2),
+            (["landscape", "--n", "3", "--resolution", "64"], 0),
         ],
     )
     def test_no_numpy(self, argv, code):

@@ -26,16 +26,13 @@ C_ORACLE = {1: 2.2563463338991654, 2: 1.8274008610234556, 3: 1.7075267875581779}
 class TestQuadrature:
     def test_sin_squared_identity(self):
         # integral of sin^2 over [0, pi] is pi/2
-        val = composite_simpson(lambda u: np.sin(u) ** 2, 0.0, math.pi, rel_tol=1e-12)
+        val = composite_simpson(lambda u: np.sin(u) ** 2, 0.0, math.pi)
         assert val == pytest.approx(math.pi / 2, rel=1e-12)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr("holdercert.quadrature.MAX_PANELS", 64)
         with pytest.raises(QuadratureBudgetExceeded):
-            composite_simpson(lambda u: np.abs(np.sin(1.0 / (u + 1e-8))), 0.0, 1.0, rel_tol=1e-13, max_panels=64)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            composite_simpson(lambda u: u, 0.0, 1.0, rel_tol=1e-2)
+            composite_simpson(lambda u: np.abs(np.sin(1.0 / (u + 1e-8))), 0.0, 1.0)
 
 
 class TestOscillationIntegral:

@@ -2,12 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from holdercert.checks import FAILED, PASSED, UNDECIDED, prove_boxes, subdivide
+from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_less, prove_boxes, subdivide
 from holdercert.holder import (
-    X_FLOOR,
+    ENVELOPE_X_MAX,
     check_envelope,
     check_nesting,
     classify_index,
@@ -20,8 +22,8 @@ from holdercert.holder import (
     wirtinger_equality_case,
     wirtinger_for_interval,
 )
-from holdercert.interval import PI, ArgumentTooLarge, DomainError, Interval
-from holdercert.report import ENVELOPE_X_MAX
+from holdercert.interval import ARGUMENT_BUDGET, PI, ArgumentTooLarge, DomainError, Interval
+from holdercert.quadrature import composite_simpson
 from holdercert.roots import find_alpha
 from oracles import ddf_iv, remap
 
@@ -50,8 +52,10 @@ class TestFunction:
                 fn(-1.0)
 
     def test_interval_floor(self):
-        with pytest.raises(ArgumentTooLarge):
-            f_iv(Interval.point(X_FLOOR / 2))
+        # 1/x past the kernel's trig reduction budget is refused, not reduced
+        for fn in (f_iv, df_iv):
+            with pytest.raises(ArgumentTooLarge):
+                fn(Interval.point(0.5 / ARGUMENT_BUDGET))
 
     def test_interval_encloses_point(self):
         rng = random.Random(77)
@@ -126,8 +130,15 @@ class TestWirtinger:
         assert r.verdict == PASSED and r.margin > 0
 
     def test_equality_case_shifted(self):
-        r = wirtinger_equality_case(a=0.3, b=2.7)
-        assert r.verdict == PASSED
+        # the sine arch on [a, b]: both Wirtinger sides are (b - a)/2
+        a, b = 0.3, 2.7
+        w = b - a
+        lhs = composite_simpson(lambda t: np.sin(math.pi * (t - a) / w) ** 2, a, b)
+        rhs = (w / math.pi) ** 2 * composite_simpson(
+            lambda t: (math.pi / w * np.cos(math.pi * (t - a) / w)) ** 2, a, b
+        )
+        assert abs(lhs / rhs - 1.0) <= 1e-9
+        assert lhs == pytest.approx(w / 2, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
     def test_interval_inequality(self, n):
@@ -147,23 +158,24 @@ class TestEnvelope:
 
     @staticmethod
     def _start_and_leaves(monkeypatch, x_max):
-        """Run check_envelope(x_max); return its results, and the start
+        """Run check_envelope up to x_max; return its results, and the start
         boxes and leaves of each envelope regime's subdivide call."""
         calls = []
 
-        def recording(margin, boxes, budget):
+        def recording(margin, boxes):
             boxes = list(boxes)
-            leaves = list(subdivide(margin, boxes, budget))
+            leaves = list(subdivide(margin, boxes))
             calls.append((boxes, [leaf for leaf, _ in leaves]))
             yield from leaves
 
         monkeypatch.setattr("holdercert.checks.subdivide", recording)
-        results = check_envelope(x_max)
+        monkeypatch.setattr("holdercert.holder.ENVELOPE_X_MAX", x_max)
+        results = check_envelope()
         assert len(calls) == 4  # one per regime, then concavity
         return results, calls[:3]
 
     def test_all_pass(self):
-        results = check_envelope(ENVELOPE_X_MAX)
+        results = check_envelope()
         assert [r.check_id for r in results] == [
             "P2.3/regime1",
             "P2.3/regime2",
@@ -184,8 +196,27 @@ class TestEnvelope:
         assert abs(f(inv_pi)) < 1e-15
 
     def test_x_max_validation(self):
-        with pytest.raises(DomainError):
-            check_envelope(1.0 / math.pi)
+        # every regime, the third included, needs a proved box
+        assert self.E2 < ENVELOPE_X_MAX < math.inf
+
+    def test_strip_reaches_the_first_box(self, monkeypatch):
+        # the mean-value strip certified by pi^2 * width < 2 must cover
+        # [1/pi, first box), which is a little wider than 1e-3
+        certified = []
+
+        def recording(check_id, anchor, lhs, rhs):
+            certified.append((check_id, lhs))
+            return certified_less(check_id, anchor, lhs, rhs)
+
+        monkeypatch.setattr("holdercert.holder.certified_less", recording)
+        results, regime_calls = self._start_and_leaves(monkeypatch, ENVELOPE_X_MAX)
+        assert all(r.verdict == PASSED for r in results)
+        [(check_id, lhs)] = certified
+        assert check_id == "P2.3/strip-scalar"
+        first_box = regime_calls[0][0][0]
+        pi_lo = Fraction(PI.lo)  # pi >= pi_lo, so pi^2 (lo - 1/pi) >= this
+        width = pi_lo**2 * (Fraction(first_box.lo) - 1 / pi_lo)
+        assert Fraction(lhs.hi) >= width > Fraction(PI.hi) ** 2 * Fraction(1e-3)
 
     @pytest.mark.parametrize("x_max", [8.0, 2.0])
     def test_start_boxes_are_the_regimes(self, monkeypatch, x_max):
@@ -204,13 +235,6 @@ class TestEnvelope:
             for e in (self.E1, self.E2):
                 assert leaf.hi <= e or leaf.lo >= e
 
-    # 0.45 lies below the first regime edge, 0.6 below the second: a regime
-    # without a proved box must not read passed, so such an x_max is refused
-    @pytest.mark.parametrize("x_max", [0.6, 0.45, 1.0 / math.pi + 0.5, math.inf, math.nan])
-    def test_x_max_below_third_regime(self, x_max):
-        with pytest.raises(DomainError, match="x_max"):
-            check_envelope(x_max)
-
     def test_few_f_evaluations(self, monkeypatch):
         calls = []
 
@@ -219,7 +243,7 @@ class TestEnvelope:
             return f_iv(x)
 
         monkeypatch.setattr("holdercert.holder.f_iv", counting)
-        assert all(r.verdict == PASSED for r in check_envelope(8.0))
+        assert all(r.verdict == PASSED for r in check_envelope())
         assert len(calls) <= 64
 
     def test_unprovable_boxes_are_undecided(self, monkeypatch):
@@ -227,7 +251,7 @@ class TestEnvelope:
         # stop at its budget and report every regime undecided, never passed
         monkeypatch.setattr("holdercert.holder.f_iv", lambda x: Interval(-10.0, 10.0))
         monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 16)
-        results = check_envelope(2.0)
+        results = check_envelope()
         verdicts = {r.check_id: r.verdict for r in results}
         assert verdicts == {
             "P2.3/regime1": UNDECIDED,
@@ -248,19 +272,20 @@ class TestSubdivide:
         assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
 
     def test_provable_margin_tiles_the_boxes(self):
-        out = list(subdivide(lambda box: 0.3 - box.width, self.BOXES, 1000))
+        out = list(subdivide(lambda box: 0.3 - box.width, self.BOXES))
         assert all(m > 0.0 for _, m in out)
         assert all(leaf.width < 0.3 for leaf, _ in out)
         self._assert_tiles([leaf for leaf, _ in out], 0.0, 3.0)
 
-    def test_unprovable_margin_stops_at_budget(self):
+    def test_unprovable_margin_stops_at_budget(self, monkeypatch):
         calls = []
 
         def never(box):
             calls.append(box)
             return -1.0
 
-        out = list(subdivide(never, self.BOXES, 10))
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 10)
+        out = list(subdivide(never, self.BOXES))
         # budget - 1 splits, each adding one leaf; every box evaluated once
         assert len(out) == len(self.BOXES) + 9
         assert len(calls) == len(self.BOXES) + 2 * 9
@@ -269,7 +294,7 @@ class TestSubdivide:
 
     def test_unsplittable_box_is_a_leaf(self):
         tight = Interval(1.0, math.nextafter(1.0, 2.0))
-        assert list(subdivide(lambda box: -1.0, [tight], 1000)) == [(tight, -1.0)]
+        assert list(subdivide(lambda box: -1.0, [tight])) == [(tight, -1.0)]
 
 
 class TestProveBoxes:
@@ -278,7 +303,7 @@ class TestProveBoxes:
     def test_provable_margin_passes_at_the_weakest_leaf(self):
         margin = lambda box: 0.3 - box.width
         r = prove_boxes("id", "anchor", margin, self.BOXES)
-        leaves = list(subdivide(margin, self.BOXES, 1000))
+        leaves = list(subdivide(margin, self.BOXES))
         assert (r.check_id, r.anchor, r.verdict) == ("id", "anchor", PASSED)
         assert r.margin == min(m for _, m in leaves) > 0.0
 

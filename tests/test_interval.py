@@ -16,6 +16,7 @@ from holdercert.checks import (
     CheckResult,
     certified_above_decimal,
     certified_below_decimal,
+    certified_equal,
     certified_positive,
 )
 from holdercert.interval import (
@@ -134,18 +135,24 @@ class TestCertification:
 # -- the two comparator bodies before "above" became "below" of the negation -----
 
 
+def _round_down(q: Fraction) -> float:
+    """The largest double <= q."""
+    x = float(q)
+    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+
+
 def _below_decimal_ref(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
     t = Fraction(threshold)
     hi = Fraction(lhs.hi)
     verdict = PASSED if hi < t else (UNDECIDED if Fraction(lhs.lo) < t else FAILED)
-    return CheckResult(check_id, anchor, verdict, float(t - hi))
+    return CheckResult(check_id, anchor, verdict, _round_down(t - hi))
 
 
 def _above_decimal_ref(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
     t = Fraction(threshold)
     lo = Fraction(lhs.lo)
     verdict = PASSED if lo > t else (UNDECIDED if Fraction(lhs.hi) > t else FAILED)
-    return CheckResult(check_id, anchor, verdict, float(lo - t))
+    return CheckResult(check_id, anchor, verdict, _round_down(lo - t))
 
 
 @st.composite
@@ -192,7 +199,35 @@ class TestDecimalComparators:
         # the double 0.1 is 0.1000000000000000055...: above "0.1", never below
         verdicts, (below, above) = self.both(Interval.point(0.1), "0.1")
         assert verdicts == (FAILED, PASSED)
-        assert above.margin == -below.margin == float(Fraction(0.1) - Fraction("0.1")) > 0.0
+        # the gap is no double, so each margin sits just below its exact value
+        gap = Fraction(0.1) - Fraction("0.1")
+        assert Fraction(above.margin) < gap < -Fraction(below.margin)
+        assert above.margin == math.nextafter(-below.margin, 0.0) > 0.0
+
+    @settings(max_examples=500, derandomize=True)
+    @given(_interval_and_decimal())
+    def test_margins_are_lower_bounds(self, case):
+        # a margin never claims more room than the exact gap, and it is the
+        # largest double that does not
+        lhs, threshold = case
+        _, (below, above) = self.both(lhs, threshold)
+        t = Fraction(threshold)
+        for margin, gap in ((below.margin, t - Fraction(lhs.hi)), (above.margin, Fraction(lhs.lo) - t)):
+            assert Fraction(margin) <= gap < Fraction(math.nextafter(margin, math.inf))
+
+    @settings(max_examples=500, derandomize=True)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=2e-12),
+        st.floats(min_value=0.0, max_value=2e-12),
+    )
+    def test_equal_margin_is_a_lower_bound(self, x, below, above):
+        lhs = Interval(x - below, x + above)
+        r = certified_equal("id", "anchor", lhs, Interval.point(x))
+        diff = lhs - Interval.point(x)
+        gap = Fraction(1e-12) - max(abs(Fraction(diff.lo)), abs(Fraction(diff.hi)))
+        assert r.verdict == (PASSED if gap >= 0 else FAILED)
+        assert Fraction(r.margin) <= gap < Fraction(math.nextafter(r.margin, math.inf))
 
     def test_end_at_the_decimal_is_undecided(self):
         assert self.both(Interval(0.0, 0.5), "0.5")[0] == (UNDECIDED, FAILED)

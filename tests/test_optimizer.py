@@ -126,7 +126,7 @@ class TestSearchDominates:
     def test_search_dominates_stationary_and_endpoint_pairs(self, resolution, x_cap):
         for n, best in enumerate(_piece_sups(range(21), resolution, x_cap, 0.5)):
             q = best.q
-            rec = critical_pair(n, x_cap)
+            rec = critical_pair(n)
             if rec is not None:
                 assert q >= rec.q, n
             if n >= 1:
