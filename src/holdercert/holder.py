@@ -276,12 +276,14 @@ def check_nesting(n_count: int) -> list[CheckResult]:
             img if n % 2 == 0 else -img,
         )
 
+    sin_next = iv.sin(theta_interval(1))
     for n in range(1, n_count):
+        sin_n, sin_next = sin_next, iv.sin(theta_interval(n + 1))  # each sin theta_n enclosed once
         contraction = certified_less(
             f"T2.4/contract[n={n}]",
             f"Thm 2.4 proof, (2.16): sin theta_{{n+1}} < sin theta_n [n={n}]",
-            iv.sin(theta_interval(n + 1)),
-            iv.sin(theta_interval(n)),
+            sin_next,
+            sin_n,
         )
         results.append(
             merge_results(

@@ -36,6 +36,15 @@ STATIONARY_TOL = 1e-12
 _SWEEP_BLOCK_POINTS = 2**15  # grid points per sweep block: bounds its working memory
 _LB_STRIDE = 8  # the sweep's lower bound is the best pair of every 8th grid point
 _SLACK = 1.0 + 1e-9  # widening of the sweep's pruning bounds against float error
+# The descent screens its probes with np.power and re-evaluates with libm pow
+# those within this relative distance of the screened best.  np.power (libm
+# pow, numpy's SIMD pow, or sqrt at 1/2) and libm pow each land within a few
+# ulps of d**alpha, so a screened quotient is within a relative delta of the
+# exact one, delta <= 1e-14 (~45 ulps; the divisions add one ulp each).  With
+# q* the row's largest exact quotient and B its largest screened one,
+# B <= q*(1 + delta), and a probe reaching q* screens at >= q*(1 - delta)
+# >= B(1 - delta)/(1 + delta) > B(1 - 2 delta) > B(1 - _SCREEN_TOL).
+_SCREEN_TOL = 1e-12
 
 
 def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, float, float] | None:
@@ -213,6 +222,17 @@ def _grid_sweep(
     return starts
 
 
+def _libm_quotients(num: np.ndarray, d: np.ndarray, near: np.ndarray, alpha_exp: float) -> np.ndarray:
+    """The descent's deciding quotients: num / d**alpha_exp at the probes
+    marked near, with Python's float ``**`` (libm pow) as in
+    ``holder.quotient``; -1 at every other probe."""
+    import numpy as np
+
+    q = np.full(num.shape, -1.0)
+    q[near] = num[near] / np.array([v**alpha_exp for v in d[near].tolist()])
+    return q
+
+
 def _coordinate_descent(
     starts: list[tuple[float, float]],
     bounds: list[tuple[float, float]],
@@ -228,37 +248,56 @@ def _coordinate_descent(
     lo <= x < y <= hi wins; a piece with no inside probe (or only NaN
     quotients) keeps its coordinate.  This is the scalar per-piece descent
     bit for bit: f is g * np.sin(1/g), the operations of ``holder.f``, and
-    the power is Python's float ``**`` (libm pow), as in
+    the winner is decided by Python's float ``**`` (libm pow), as in
     ``holder.quotient``.  np.power differs from pow in the last bit (at
-    alpha 1/2 it takes sqrt), which moves the winning probe.
+    alpha 1/2 it takes sqrt), which would move the winning probe.
+
+    Only the work that can move a pair is done.  A piece leaves the
+    descent at the start of the first round in which x +- h and y +- h
+    round to x and y: every probe of both axes then rounds to the base
+    point, and h only shrinks, so its pair is final.  Each row is
+    screened with np.power, and libm pow re-evaluates only the probes
+    within _SCREEN_TOL of the row's screened best, which hold every probe
+    at the row's exact maximum.
     """
     import numpy as np
 
     x, y = (np.array(v, dtype=float) for v in zip(*starts))
-    lo, hi = (np.array(v, dtype=float)[:, None] for v in zip(*bounds))
-    h = np.array(h0, dtype=float)[:, None]
-    rows = np.arange(x.size)
+    lo, hi = (np.array(v, dtype=float) for v in zip(*bounds))
+    h = np.array(h0, dtype=float)
+    out_x, out_y = x.copy(), y.copy()
+    live = np.arange(x.size)  # the pieces still in the descent
     with np.errstate(all="ignore"):  # probes outside the piece may be <= 0 or NaN
         fx, fy = x * np.sin(1.0 / x), y * np.sin(1.0 / y)
         for _ in range(50):
+            settled = (x + h == x) & (x - h == x) & (y + h == y) & (y - h == y)
+            if settled.any():
+                out_x[live[settled]], out_y[live[settled]] = x[settled], y[settled]
+                live, x, y, fx, fy, lo, hi, h = (v[~settled] for v in (live, x, y, fx, fy, lo, hi, h))
+                if not live.size:
+                    break
+            rows = np.arange(live.size)
             for axis in (0, 1):
                 base, fbase, other, fother = (x, fx, y, fy) if axis == 0 else (y, fy, x, fx)
-                g = base[:, None] + h * (np.arange(17) - 8) / 8.0
+                g = base[:, None] + h[:, None] * (np.arange(17) - 8) / 8.0
                 fg = g * np.sin(1.0 / g)
                 fg[:, 8] = fbase  # probe 8 is the base point
                 px, py = (g, other[:, None]) if axis == 0 else (other[:, None], g)
-                inside = (lo <= px) & (px < py) & (py <= hi)
-                q = np.full(g.shape, -1.0)
-                power = [d**alpha_exp for d in (py - px)[inside].tolist()]
-                q[inside] = np.abs(fother[:, None] - fg)[inside] / power
-                q[np.isnan(q)] = -1.0
+                inside = (lo[:, None] <= px) & (px < py) & (py <= hi[:, None])
+                num, d = np.abs(fother[:, None] - fg), py - px
+                screen = num / d**alpha_exp
+                screen[~inside | np.isnan(screen)] = -1.0
+                # -1 marks are never near: the best is -1 only if all are
+                near = screen >= screen.max(axis=1, keepdims=True) * (1.0 - _SCREEN_TOL)
+                q = _libm_quotients(num, d, near, alpha_exp)
                 k = q.argmax(axis=1)
                 moved = q[rows, k] > -1.0
                 base = np.where(moved, g[rows, k], base)
                 fbase = np.where(moved, fg[rows, k], fbase)
                 x, fx, y, fy = (base, fbase, y, fy) if axis == 0 else (x, fx, base, fbase)
             h = h * 0.5
-    return list(zip(x.tolist(), y.tolist()))
+        out_x[live], out_y[live] = x, y
+    return list(zip(out_x.tolist(), out_y.tolist()))
 
 
 def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float) -> list[QuotientRecord]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from holdercert import interval
 from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_less, prove_boxes, subdivide
 from holdercert.holder import (
     ENVELOPE_X_MAX,
@@ -330,6 +331,22 @@ class TestNesting:
     def test_first_hundred(self):
         results = check_nesting(100)
         assert all(r.verdict == PASSED for r in results)
+
+    def test_each_sin_theta_enclosed_once(self, monkeypatch):
+        calls = 0
+        sin = interval.sin
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return sin(x)
+
+        check_nesting(200)  # certifies the roots, which calls sin too
+        monkeypatch.setattr(interval, "sin", counted)
+        results = check_nesting(200)
+        assert all(r.verdict == PASSED for r in results)
+        # sin theta_1..sin theta_200 once each, plus one per image f(1/alpha_n)
+        assert calls == 200 + 200
 
     def test_wrong_signed_endpoint_fails(self, monkeypatch):
         # a proved image of the wrong sign is a failed check, not an undecided one

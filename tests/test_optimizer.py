@@ -251,6 +251,71 @@ class TestBatchedSearchReference:
         _assert_search_matches_reference(bounds, resolution, alpha_exp)
 
 
+def _assert_descent_matches_reference(starts, bounds, h0, alpha_exp):
+    got = _coordinate_descent(starts, bounds, h0, alpha_exp)
+    want = [_coordinate_descent_ref(x, y, lo, hi, h, alpha_exp) for (x, y), (lo, hi), h in zip(starts, bounds, h0)]
+    assert got == want
+
+
+@pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
+class TestSettlingDescent:
+    """Pieces leave the descent once no probe can move them, and libm pow
+    decides only the probes that survive the np.power screen; the pairs
+    are the scalar descent's, bit for bit."""
+
+    @staticmethod
+    def _j0(x_cap, alpha_exp):
+        bounds = [piece_bounds(0, x_cap)]
+        return _grid_sweep(bounds, 512, alpha_exp), bounds
+
+    def test_zero_step(self, alpha_exp):
+        bounds = [piece_bounds(n, 8.0) for n in range(6)]
+        _assert_descent_matches_reference(_grid_sweep(bounds, 64, alpha_exp), bounds, [0.0] * 6, alpha_exp)
+
+    def test_step_below_half_an_ulp(self, alpha_exp):
+        starts, bounds = self._j0(8.0, alpha_exp)
+        [(x, y)] = starts
+        h = min(math.ulp(x), math.ulp(y)) / 4  # every probe rounds to the start
+        assert x + h == x - h == x and y + h == y - h == y
+        _assert_descent_matches_reference(starts, bounds, [h], alpha_exp)
+
+    def test_steps_of_half_an_ulp(self, alpha_exp):
+        # x +- h and y +- h may round to a neighbour on a tie, and below a
+        # power of two the spacing halves: such pieces still move
+        u = 2.0**-53  # the ulp on [0.5, 1)
+        starts = [(0.5, 0.75), (0.5, 0.75 + u), (0.5 + 2 * u, 0.75 + 3 * u), (0.6 + u, 0.9), (0.6 + 3 * u, 0.9 + 2 * u)]
+        pieces = len(starts)
+        _assert_descent_matches_reference(starts, [(0.25, 1.0)] * pieces, [u / 2] * pieces, alpha_exp)
+        moved = [_coordinate_descent_ref(x, y, 0.25, 1.0, u / 2, alpha_exp) != (x, y) for x, y in starts]
+        assert any(moved) and not all(moved)
+
+    def test_j0_cut_at_50(self, alpha_exp):
+        # the last piece to settle: its wide start step keeps it in the
+        # descent up to the 50-round cap
+        starts, bounds = self._j0(50.0, alpha_exp)
+        lo, hi = bounds[0]
+        _assert_descent_matches_reference(starts, bounds, [(hi - lo) / 511], alpha_exp)
+
+    def test_pieces_settle_in_different_rounds(self, alpha_exp):
+        # on J_0 cut at 8 an ulp is 2^-55..2^-50: these pieces settle at
+        # rounds 0, 0, 16-17, 36-37 and 48-49
+        starts, bounds = self._j0(8.0, alpha_exp)
+        h0 = [0.0, 2.0**-60, 2.0**-40, 2.0**-20, 2.0**-8]
+        _assert_descent_matches_reference(starts * 5, bounds * 5, h0, alpha_exp)
+
+    def test_flat_far_pieces(self, alpha_exp):
+        bounds = [(1e8, 2e8), (1e12, 3e12), (5e15, 6e15)]
+        h0 = [(hi - lo) / 63 for lo, hi in bounds]
+        _assert_descent_matches_reference(_grid_sweep(bounds, 64, alpha_exp), bounds, h0, alpha_exp)
+
+    def test_screen_is_within_its_tolerance(self, alpha_exp):
+        # the screen's premise: np.power is within 1e-14 of libm pow, far
+        # inside the half of _SCREEN_TOL that the selection argument needs
+        d = np.geomspace(1e-300, 1e300, 20_001)
+        libm = np.array([v**alpha_exp for v in d.tolist()])
+        assert np.max(np.abs(d**alpha_exp / libm - 1.0)) <= 1e-14 < opt._SCREEN_TOL / 2
+
+
 class TestSweepPruning:
     """Every pair the sweep leaves out is below its lower bound, and the
     lower bound is a grid entry."""
@@ -305,6 +370,24 @@ class TestSweepPruning:
         bounds = [piece_bounds(n, 8.0) for n in range(201)]
         opt._grid_sweep(bounds, 512, 0.5)
         assert evaluated < 0.5 * len(bounds) * 512 * 511 / 2
+
+    def test_descent_drops_settled_pieces_and_most_libm_pow(self, monkeypatch):
+        probes = pows = 0
+        libm_quotients = opt._libm_quotients
+
+        def counted(num, d, near, alpha_exp):
+            nonlocal probes, pows
+            probes += num.size
+            pows += int(near.sum())
+            return libm_quotients(num, d, near, alpha_exp)
+
+        monkeypatch.setattr(opt, "_libm_quotients", counted)
+        bounds = [piece_bounds(n, 8.0) for n in range(201)]
+        h0 = [(hi - lo) / 511 for lo, hi in bounds]
+        opt._coordinate_descent(opt._grid_sweep(bounds, 512, 0.5), bounds, h0, 0.5)
+        every = len(bounds) * 50 * 2 * 17  # 50 rounds of 17 probes per axis
+        assert probes < 0.8 * every
+        assert pows < 0.6 * every
 
 
 class TestBoundaryExclusion:
