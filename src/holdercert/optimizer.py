@@ -33,8 +33,10 @@ class ConfigError(Exception):
 
 
 STATIONARY_TOL = 1e-12
-_SWEEP_BLOCK_POINTS = 2**15  # grid points per sweep block: bounds its working memory
-_LB_STRIDE = 8  # the sweep's lower bound is the best pair of every 8th grid point
+_SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
+_LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
+_LB_STRIDE = 8  # the bound every kept tile pair must reach: the best pair of every 8th grid point
+_TILES = (64, 32, 16, 8)  # the sweep's tile sizes, coarse to fine; 8-point leaves are scanned
 _SLACK = 1.0 + 1e-9  # widening of the sweep's pruning bounds against float error
 # The descent screens its probes with np.power and re-evaluates with libm pow
 # those within this relative distance of the screened best.  np.power (libm
@@ -139,87 +141,115 @@ def _quotients(xa, fa, xb, fb, alpha_exp: float) -> np.ndarray:
     return abs(fb - fa) / (xb - xa) ** alpha_exp
 
 
-def _sweep_plan(xs: np.ndarray, fv: np.ndarray, alpha_exp: float) -> tuple[np.ndarray, ...]:
-    """Which pairs of each piece's grid (a row of xs, fv) can hold its maximum.
+def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tuple[np.ndarray, ...]:
+    """Which pairs of each piece's grid can hold its maximum.
 
-    Returns (lb, keep, skip).  lb is the best pair of every 8th grid point:
-    a grid entry, so at most the grid maximum.  With S_i the largest
-    adjacent slope right of point i and M_i the largest |fv_j - fv_i|,
-    j > i, every quotient of row i at distance d is at most
-    min(S_i d^(1-alpha), M_i d^-alpha) <= S_i^alpha M_i^(1-alpha).  Row i is
-    kept only when that bound reaches lb.  Its first skip[i] columns lie
-    closer than the distance at which S_i d^(1-alpha) reaches lb, counted
-    in the largest grid spacing, less one index.
-    Each bound is widened by _SLACK, far more than the few ulps of float
-    error in it or in a scanned entry, so every pair left out is below lb.
-    A piece whose grid is not finite and strictly increasing is scanned in
-    full.
-    """
+    A row of xs, fv is a grid of n points padded to whole 64-point tiles
+    (the last point repeated).  Returns (lb, li, lj): lb per piece, the
+    best pair of every 8th grid point (a grid entry, so at most the grid
+    maximum), and the kept leaf tile pairs li <= lj as flat indices of
+    8-point tiles (leaf t holds xs.flat[8t .. 8t + 7]).  Tile pairs start
+    at 64 points; each whose bound reaches lb splits 2 x 2, down to 8.
+    Every quotient of a tile pair (I, J) is at most S d_max^(1-alpha), S
+    the largest adjacent slope from I's first point to J's last, d_max
+    their distance, and for J > I at most max(fmax_J - fmin_I, fmax_I -
+    fmin_J) / d_min^alpha, d_min the distance from I's last point to J's
+    first.  A child keeps its parent's S unless its tiles touch; then S is
+    the larger of their own slopes (each including the one to the next
+    tile).  Bounds are widened by _SLACK, far more than the few ulps of
+    float error in a bound or a scanned entry, so every pair left out is
+    below lb.  A piece whose grid is not finite and strictly increasing
+    keeps every tile."""
     import numpy as np
 
-    n = xs.shape[1]
-    sx, sf = xs[:, ::_LB_STRIDE], fv[:, ::_LB_STRIDE]
-    dx = np.diff(xs, axis=1)
-    with np.errstate(all="ignore"):  # NaN and inf are screened out below
-        lb = np.max(
-            [
-                _quotients(sx[:, r, None], sf[:, r, None], sx[:, r + 1 :], sf[:, r + 1 :], alpha_exp).max(axis=1)
-                for r in range(sx.shape[1] - 1)
-            ],
-            axis=0,
+    pieces, width = xs.shape
+    sx, sf = xs[:, :n:_LB_STRIDE], fv[:, :n:_LB_STRIDE]
+    dx = np.diff(xs[:, :n], axis=1)
+    full = ~(np.isfinite(xs).all(axis=1) & np.isfinite(fv).all(axis=1) & (dx > 0).all(axis=1))
+    with np.errstate(all="ignore"):  # NaN and inf are screened out by full
+        # 8 rows of pairs at a time; fmax skips the NaN at and below the diagonal
+        groups = (
+            _quotients(sx[:, r : r + 8, None], sf[:, r : r + 8, None], sx[:, None, r:], sf[:, None, r:], alpha_exp)
+            for r in range(0, sx.shape[1], 8)
         )
-        s = np.maximum.accumulate((np.abs(np.diff(fv, axis=1)) / dx)[:, ::-1], axis=1)[:, ::-1]
-        right_max = np.maximum.accumulate(fv[:, :0:-1], axis=1)[:, ::-1]
-        right_min = np.minimum.accumulate(fv[:, :0:-1], axis=1)[:, ::-1]
-        m = np.maximum(right_max - fv[:, :-1], fv[:, :-1] - right_min)
-        keep = s**alpha_exp * m ** (1.0 - alpha_exp) * _SLACK >= lb[:, None]
-        reach = (lb[:, None] / (s * _SLACK)) ** (1.0 / (1.0 - alpha_exp))
-        skip = np.floor(reach / dx.max(axis=1, keepdims=True)) - 1.0
-    prunable = np.isfinite(xs).all(axis=1) & np.isfinite(fv).all(axis=1) & (dx > 0).all(axis=1)
-    keep |= ~prunable[:, None]
-    skip = np.where(prunable[:, None] & (skip > 0), np.minimum(skip, n), 0).astype(np.intp)
-    return lb, keep, skip
+        lb = np.fmax.reduce([np.fmax.reduce(q, axis=(1, 2)) for q in groups])
+        slope = np.pad(np.abs(np.diff(fv[:, :n], axis=1)) / dx, ((0, 0), (0, width - n + 1)))
+    # per tile size: each tile's largest f, smallest f and largest slope
+    stats, levels, size = (fv, fv, slope), {}, 1
+    while size < _TILES[0]:
+        stats = tuple(op(a[:, ::2], a[:, 1::2]) for op, a in zip((np.maximum, np.minimum, np.maximum), stats))
+        size *= 2
+        if size in _TILES:
+            levels[size] = stats
+    top = levels[_TILES[0]][2]
+    ti, tj = np.triu_indices(top.shape[1])
+    span = np.triu(np.broadcast_to(top[:, None, :], (pieces, top.shape[1], top.shape[1])))
+    s = np.maximum.accumulate(span, axis=2)[:, ti, tj].ravel()  # S of tiles I..J
+    base = np.arange(pieces)[:, None] * top.shape[1]
+    fi, fj = (base + ti).ravel(), (base + tj).ravel()  # tile I of piece p is p * tiles + I
+    for size in _TILES:
+        fmax, fmin, smax = levels[size]
+        tiles = fmax.shape[1]
+        if size < _TILES[0]:  # split each kept pair 2 x 2, on and above the diagonal
+            fi, fj = 2 * fi[:, None] + [0, 0, 1, 1], 2 * fj[:, None] + [0, 1, 0, 1]
+            s = np.where(fj - fi <= 1, np.maximum(smax.take(fi), smax.take(fj)), s[:, None])
+            keep = (fi <= fj) & (fj % tiles * size < n)
+            fi, fj, s = fi[keep], fj[keep], s[keep]
+        first, last = xs[:, ::size].ravel(), xs[:, size - 1 :: size].ravel()
+        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: fmin drops that NaN term
+            bound = np.fmin(
+                s * (last[fj] - first[fi]) ** (1.0 - alpha_exp),
+                np.maximum(fmax.take(fj) - fmin.take(fi), fmax.take(fi) - fmin.take(fj))
+                / (first[fj] - last[fi]) ** alpha_exp,
+            )
+        keep = (bound * _SLACK >= lb[fi // tiles]) | full[fi // tiles]
+        fi, fj, s = fi[keep], fj[keep], s[keep]
+    return lb, fi, fj
 
 
-def _grid_sweep(
-    bounds: list[tuple[float, float]], points: int, alpha_exp: float
-) -> list[tuple[float, float]]:
-    """Best pair of each piece's points x points grid (upper triangle).
+def _grid_sweep(bounds: list[tuple[float, float]], points: int, alpha_exp: float) -> list[tuple[float, float]]:
+    """Best pair of each piece's points x points grid (upper triangle); one
+    call per block of pieces frees a block's arrays before the next's."""
+    block = max(1, _SWEEP_BLOCK_POINTS // points)
+    blocks = (bounds[b : b + block] for b in range(0, len(bounds), block))
+    return [pair for part in blocks for pair in _sweep_block(part, points, alpha_exp)]
 
-    One row loop serves a block of pieces at once.  Per piece it is a
-    row-by-row scan: the first maximal column of a row, and a later row
-    only when strictly better, so ties go to the first pair.  The scan
-    leaves out the rows and leading columns that ``_sweep_plan`` proves
-    below a grid entry, hence below the maximum: the first maximal pair
-    is the one the full scan finds, bit for bit.  A row starts at the
-    first column any kept piece of the block needs.
-    """
+
+def _sweep_block(bounds: list[tuple[float, float]], points: int, alpha_exp: float) -> list[tuple[float, float]]:
+    """``_grid_sweep`` of a block of pieces at once.  It scans, in chunks,
+    only the leaf tile pairs that ``_leaf_tiles`` keeps: every pair left
+    out is below a grid entry, hence below the maximum.  The winner is the
+    full row-by-row scan's pair, bit for bit: the largest quotient, ties
+    to the first row, then the first column; a row holding a NaN quotient
+    never wins (the row scan's argmax stops at the NaN)."""
     import numpy as np
 
-    starts: list[tuple[float, float]] = []
-    block = max(1, _SWEEP_BLOCK_POINTS // points)
-    for b in range(0, len(bounds), block):
-        grids = [np.linspace(lo, hi, points) for lo, hi in bounds[b : b + block]]
-        xs = np.stack(grids)
-        fv = np.stack([g * np.sin(1.0 / g) for g in grids])
-        _, keep, skip = _sweep_plan(xs, fv, alpha_exp)
-        first = np.arange(1, points) + np.where(keep, skip, points).min(axis=0)
-        best_q = np.full(len(grids), -1.0)
-        best_x, best_y = np.array(bounds[b : b + block]).T.copy()  # a NaN grid keeps its ends
-        for i, s in enumerate(first.tolist()):
-            if s >= points:  # no kept piece has a column left in this row
-                continue
-            rows = np.flatnonzero(keep[:, i])
-            vals = _quotients(xs[rows, i, None], fv[rows, i, None], xs[rows, s:], fv[rows, s:], alpha_exp)
-            j = vals.argmax(axis=1)
-            q = vals[np.arange(rows.size), j]
-            better = q > best_q[rows]
-            won = rows[better]
-            best_q[won] = q[better]
-            best_x[won] = xs[won, i]
-            best_y[won] = xs[won, s + j[better]]
-        starts += zip(best_x.tolist(), best_y.tolist())
-    return starts
+    leaf = np.arange(_TILES[-1])
+    below = (leaf[:, None] <= leaf)[:, :, None]  # [column, row, -]: masked in a leaf on the diagonal
+    xp = np.pad(  # whole top tiles, the last point repeated
+        np.stack([np.linspace(lo, hi, points) for lo, hi in bounds]), ((0, 0), (0, -points % _TILES[0])), mode="edge"
+    )
+    fp = xp * np.sin(1.0 / xp)
+    xs, fv = xp[:, :points], fp[:, :points]
+    _, li, lj = _leaf_tiles(xp, fp, points, alpha_exp)
+    row_max = np.full(xp.shape, -np.inf)
+    with np.errstate(all="ignore"):  # pairs on or below the diagonal are masked
+        for c in range(0, li.size, _LEAF_CHUNK):
+            i, j = (leaf[:, None] + leaf.size * t[c : c + _LEAF_CHUNK] for t in (li, lj))
+            # vals[k, r, t]: row r of leaf t against its column k; a column
+            # past the grid's end repeats the last point, so no row max moves
+            vals = _quotients(xp.take(i), fp.take(i), xp.take(j)[:, None], fp.take(j)[:, None], alpha_exp)
+            np.copyto(vals, -np.inf, where=below & (i[0] == j[0]))
+            np.maximum.at(row_max.ravel(), i, vals.max(axis=0))
+        row_max[np.isnan(row_max)] = -np.inf
+        rows, at = np.arange(len(xs)), row_max.argmax(axis=1)
+        won = row_max[rows, at] > -np.inf
+        vals = _quotients(xs[rows, at, None], fv[rows, at, None], xs, fv, alpha_exp)  # the winning rows
+        vals[np.arange(points) <= at[:, None]] = -np.inf
+    lo, hi = np.array(bounds).T  # a NaN grid keeps its ends
+    best_x = np.where(won, xs[rows, at], lo)
+    best_y = np.where(won, xs[rows, vals.argmax(axis=1)], hi)
+    return list(zip(best_x.tolist(), best_y.tolist()))
 
 
 def _libm_quotients(num: np.ndarray, d: np.ndarray, near: np.ndarray, alpha_exp: float) -> np.ndarray:

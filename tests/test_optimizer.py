@@ -3,6 +3,7 @@ reduced global search.  Frozen pair coordinates come from 30-digit mpmath
 root finding on the stationarity system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ class TestBatchedSearchReference:
         bounds = [piece_bounds(n, 8.0) for n in range(31)]
         _assert_search_matches_reference(bounds, 64, alpha_exp)
 
+    def test_all_pieces_match_the_row_scan(self):
+        bounds = [piece_bounds(n, 8.0) for n in range(201)]
+        starts = _grid_sweep(bounds, 512, 0.35)
+        assert starts == [_grid_scan_ref(lo, hi, 512, 0.35) for lo, hi in bounds]
+
+    @pytest.mark.parametrize("resolution", [64, 65, 200])
+    def test_ulp_narrow_pieces_match_reference(self, resolution):
+        # the grid repeats points: 0/0 quotients, and rows that hold one lose
+        bounds = [(lo, lo + k * math.ulp(lo)) for lo in (0.05, 0.3, 1.7) for k in (1, 5, 63, 1000)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for alpha_exp in (0.5, 0.35):
+                _assert_search_matches_reference(bounds, resolution, alpha_exp)
+
     def test_flat_pieces_tie_to_the_first_pair(self):
         # far out f rounds to 1.0 or its lower neighbour: quotients tie
         bounds = [(1e8, 2e8), (1e12, 3e12), (5e15, 6e15)]
@@ -317,8 +331,8 @@ class TestSettlingDescent:
 
 
 class TestSweepPruning:
-    """Every pair the sweep leaves out is below its lower bound, and the
-    lower bound is a grid entry."""
+    """Every pair in a tile pair the sweep drops is below its lower bound,
+    and the lower bound is a grid entry."""
 
     @staticmethod
     def _grids(rng, kind, pieces, points):
@@ -328,35 +342,52 @@ class TestSweepPruning:
             return xs, xs * np.sin(1.0 / xs)
         # uneven spacing and a random walk: no structure of f to lean on
         xs = np.cumsum(rng.uniform(0.1, 1.0, (pieces, points)), axis=1)
-        return xs, np.cumsum(rng.standard_normal((pieces, points)), axis=1)
+        fv = np.cumsum(rng.standard_normal((pieces, points)), axis=1)
+        if kind == "spikes":  # a gentle walk with steep points off the every-8th subgrid
+            fv = 0.01 * fv + 10.0 * (rng.random((pieces, points)) < 0.05) * (np.arange(points) % 8 != 0)
+        return xs, fv
 
-    @pytest.mark.parametrize("kind", ["f", "walk"])
+    @staticmethod
+    def _kept(xs, fv, alpha_exp):
+        """lb, and which pairs (i, j) of each grid lie in a kept leaf."""
+        pieces, points = xs.shape
+        pad = ((0, 0), (0, -points % 64))  # whole 64-point tiles, as the sweep pads
+        xp, fp = np.pad(xs, pad, mode="edge"), np.pad(fv, pad, mode="edge")
+        lb, li, lj = opt._leaf_tiles(xp, fp, points, alpha_exp)
+        leaves, k = xp.shape[1] // 8, np.arange(8)
+        kept = np.zeros((pieces, xp.shape[1], xp.shape[1]), dtype=bool)
+        rows, cols = (t[:, None] % leaves * 8 + k for t in (li, lj))
+        kept[(li // leaves)[:, None, None], rows[:, :, None], cols[:, None, :]] = True
+        return lb, kept[:, :points, :points]
+
+    @pytest.mark.parametrize("kind", ["f", "walk", "spikes"])
     @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
     def test_skipped_pairs_are_below_the_bound(self, kind, alpha_exp):
+        # 65, 120 and 200 points end in a partial tile
         rng = np.random.default_rng(20240)
-        points = 120
-        xs, fv = self._grids(rng, kind, 20, points)
-        lb, keep, skip = opt._sweep_plan(xs, fv, alpha_exp)
-        i, j = np.triu_indices(points, 1)
-        vals = opt._quotients(xs[:, i], fv[:, i], xs[:, j], fv[:, j], alpha_exp)
-        assert np.all(lb <= vals.max(axis=1))
-        assert (vals == lb[:, None]).any(axis=1).all()  # lb is a grid entry, bit for bit
-        left_out = ~keep[:, i] | (j - i <= skip[:, i])
-        assert left_out.any()
-        assert np.all(vals[left_out] < np.broadcast_to(lb[:, None], vals.shape)[left_out])
+        for points in (64, 65, 120, 200):
+            xs, fv = self._grids(rng, kind, 20, points)
+            lb, kept = self._kept(xs, fv, alpha_exp)
+            i, j = np.triu_indices(points, 1)
+            vals = opt._quotients(xs[:, i], fv[:, i], xs[:, j], fv[:, j], alpha_exp)
+            assert (vals == lb[:, None]).any(axis=1).all()  # lb is a grid entry, bit for bit
+            dropped = ~kept[:, i, j]
+            assert dropped.any()
+            assert np.all(vals[dropped] < np.broadcast_to(lb[:, None], vals.shape)[dropped])
 
     def test_degenerate_grids_are_scanned_in_full(self):
-        xs = np.tile(np.linspace(0.1, 2.0, 64), (4, 1))
+        xs = np.tile(np.linspace(0.1, 2.0, 65), (4, 1))
         fv = xs * np.sin(1.0 / xs)
         xs[1, -1] = math.inf  # an infinite end
         fv[2, 5] = math.nan  # a NaN value off the every-8th subgrid
         xs[3, 6], fv[3, 6] = xs[3, 5], fv[3, 5]  # a repeated point
         with np.errstate(invalid="ignore"):
-            _, keep, skip = opt._sweep_plan(xs, fv, 0.5)
-        assert not keep[0].all() and skip[0].any()  # the regular grid is pruned
-        assert keep[1:].all() and not skip[1:].any()
+            _, kept = self._kept(xs, fv, 0.5)
+        i, j = np.triu_indices(65, 1)
+        assert not kept[0, i, j].all()  # the regular grid is pruned
+        assert kept[1:, i, j].all()
 
-    def test_search_evaluates_under_half_the_pairs(self, monkeypatch):
+    def test_search_evaluates_under_a_tenth_of_the_pairs(self, monkeypatch):
         evaluated = 0
         quotients = opt._quotients
 
@@ -369,7 +400,19 @@ class TestSweepPruning:
         monkeypatch.setattr(opt, "_quotients", counted)
         bounds = [piece_bounds(n, 8.0) for n in range(201)]
         opt._grid_sweep(bounds, 512, 0.5)
-        assert evaluated < 0.5 * len(bounds) * 512 * 511 / 2
+        assert evaluated < 0.1 * len(bounds) * 512 * 511 / 2
+
+    def test_sweep_working_memory(self):
+        # what the block and chunk sizes are for: the process's peak memory
+        bounds = [piece_bounds(n, 8.0) for n in range(201)]
+        opt._grid_sweep(bounds, 512, 0.35)
+        tracemalloc.start()
+        try:
+            opt._grid_sweep(bounds, 512, 0.35)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
     def test_descent_drops_settled_pieces_and_most_libm_pow(self, monkeypatch):
         probes = pows = 0
