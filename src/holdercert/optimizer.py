@@ -35,18 +35,9 @@ class ConfigError(Exception):
 STATIONARY_TOL = 1e-12
 _SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
 _LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
-_LB_STRIDE = 8  # the bound every kept tile pair must reach: the best pair of every 8th grid point
+_LB_STRIDE = 16  # the bound every kept tile pair must reach: the best pair of every 16th grid point
 _TILES = (64, 32, 16, 8)  # the sweep's tile sizes, coarse to fine; 8-point leaves are scanned
 _SLACK = 1.0 + 1e-9  # widening of the sweep's pruning bounds against float error
-# The descent screens its probes with np.power and re-evaluates with libm pow
-# those within this relative distance of the screened best.  np.power (libm
-# pow, numpy's SIMD pow, or sqrt at 1/2) and libm pow each land within a few
-# ulps of d**alpha, so a screened quotient is within a relative delta of the
-# exact one, delta <= 1e-14 (~45 ulps; the divisions add one ulp each).  With
-# q* the row's largest exact quotient and B its largest screened one,
-# B <= q*(1 + delta), and a probe reaching q* screens at >= q*(1 - delta)
-# >= B(1 - delta)/(1 + delta) > B(1 - 2 delta) > B(1 - _SCREEN_TOL).
-_SCREEN_TOL = 1e-12
 
 
 def _newton_refine(x: float, y: float, lo: float, hi: float) -> tuple[float, float, float] | None:
@@ -146,7 +137,7 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
 
     A row of xs, fv is a grid of n points padded to whole 64-point tiles
     (the last point repeated).  Returns (lb, li, lj): lb per piece, the
-    best pair of every 8th grid point (a grid entry, so at most the grid
+    best pair of every 16th grid point (a grid entry, so at most the grid
     maximum), and the kept leaf tile pairs li <= lj as flat indices of
     8-point tiles (leaf t holds xs.flat[8t .. 8t + 7]).  Tile pairs start
     at 64 points; each whose bound reaches lb splits 2 x 2, down to 8.
@@ -252,17 +243,6 @@ def _sweep_block(bounds: list[tuple[float, float]], points: int, alpha_exp: floa
     return list(zip(best_x.tolist(), best_y.tolist()))
 
 
-def _libm_quotients(num: np.ndarray, d: np.ndarray, near: np.ndarray, alpha_exp: float) -> np.ndarray:
-    """The descent's deciding quotients: num / d**alpha_exp at the probes
-    marked near, with Python's float ``**`` (libm pow) as in
-    ``holder.quotient``; -1 at every other probe."""
-    import numpy as np
-
-    q = np.full(num.shape, -1.0)
-    q[near] = num[near] / np.array([v**alpha_exp for v in d[near].tolist()])
-    return q
-
-
 def _coordinate_descent(
     starts: list[tuple[float, float]],
     bounds: list[tuple[float, float]],
@@ -276,19 +256,15 @@ def _coordinate_descent(
     moving coordinate is evaluated, the other's value is carried, and
     probe 8 reuses the base value.  The first maximal probe inside
     lo <= x < y <= hi wins; a piece with no inside probe (or only NaN
-    quotients) keeps its coordinate.  This is the scalar per-piece descent
-    bit for bit: f is g * np.sin(1/g), the operations of ``holder.f``, and
-    the winner is decided by Python's float ``**`` (libm pow), as in
-    ``holder.quotient``.  np.power differs from pow in the last bit (at
-    alpha 1/2 it takes sqrt), which would move the winning probe.
+    quotients) keeps its coordinate.  f is g * np.sin(1/g), the operations
+    of ``holder.f``, and the winner is decided by the row's quotients
+    num / d**alpha_exp as one numpy array; at alpha 1/2 numpy takes d**0.5
+    as the correctly rounded sqrt, so the decisions there do not depend on
+    the platform's pow.  The reported q of a pair is ``holder.quotient``'s.
 
-    Only the work that can move a pair is done.  A piece leaves the
-    descent at the start of the first round in which x +- h and y +- h
-    round to x and y: every probe of both axes then rounds to the base
-    point, and h only shrinks, so its pair is final.  Each row is
-    screened with np.power, and libm pow re-evaluates only the probes
-    within _SCREEN_TOL of the row's screened best, which hold every probe
-    at the row's exact maximum.
+    A piece leaves the descent at the start of the first round in which
+    x +- h and y +- h round to x and y: every probe of both axes then
+    rounds to the base point, and h only shrinks, so its pair is final.
     """
     import numpy as np
 
@@ -315,11 +291,8 @@ def _coordinate_descent(
                 px, py = (g, other[:, None]) if axis == 0 else (other[:, None], g)
                 inside = (lo[:, None] <= px) & (px < py) & (py <= hi[:, None])
                 num, d = np.abs(fother[:, None] - fg), py - px
-                screen = num / d**alpha_exp
-                screen[~inside | np.isnan(screen)] = -1.0
-                # -1 marks are never near: the best is -1 only if all are
-                near = screen >= screen.max(axis=1, keepdims=True) * (1.0 - _SCREEN_TOL)
-                q = _libm_quotients(num, d, near, alpha_exp)
+                q = num / d**alpha_exp
+                q[~inside | np.isnan(q)] = -1.0
                 k = q.argmax(axis=1)
                 moved = q[rows, k] > -1.0
                 base = np.where(moved, g[rows, k], base)
