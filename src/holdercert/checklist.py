@@ -18,6 +18,7 @@ contradiction arguments around the two delicate quotient maxima
 from __future__ import annotations
 
 import ast
+import operator
 
 from . import interval as iv
 from .checks import CheckResult, certified_equal, certified_less, merge_results
@@ -30,56 +31,30 @@ class ChecklistError(Exception):
     """Malformed checklist expression."""
 
 
-_FUNCTIONS = {
-    "f": f_iv,
-    "df": df_iv,
-    "sqrt": iv.sqrt,
-    "sin": iv.sin,
-    "cos": iv.cos,
-}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_CALLS = {"f": f_iv, "df": df_iv, "sqrt": iv.sqrt, "sin": iv.sin, "cos": iv.cos}
+_INDEXED = {"theta": theta_interval, "alpha": alpha_interval}  # certified root data, by integer literal
 
 
 def _eval_node(node: ast.expr) -> Interval:
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return Interval.point(float(node.value))
-        if isinstance(node.value, float):  # the decimal lies within half an ulp of this double
-            return Interval(iv._down(node.value), iv._up(node.value))
-        raise ChecklistError(f"unsupported literal {node.value!r}")
-    if isinstance(node, ast.Name):
-        if node.id == "pi":
+    match node:
+        case ast.Constant(value=int() as k) if type(k) is int:  # integers are points
+            return Interval.point(float(k))
+        case ast.Constant(value=float() as v):  # the decimal lies within half an ulp of this double
+            return Interval(iv._down(v), iv._up(v))
+        case ast.Name("pi"):
             return PI
-        raise ChecklistError(f"unknown name {node.id!r}")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_eval_node(node.operand)
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Pow):
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
-                raise ChecklistError("** requires an integer literal exponent")
-            return _eval_node(node.left) ** node.right.value
-        left, right = _eval_node(node.left), _eval_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            return left / right
-        raise ChecklistError(f"unsupported operator {node.op!r}")
-    if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.keywords or len(node.args) != 1:
-            raise ChecklistError("calls must be name(single_argument)")
-        name = node.func.id
-        if name in ("theta", "alpha"):
-            arg = node.args[0]
-            if not (isinstance(arg, ast.Constant) and isinstance(arg.value, int)):
-                raise ChecklistError(f"{name}() requires an integer literal index")
-            return theta_interval(arg.value) if name == "theta" else alpha_interval(arg.value)
-        if name in _FUNCTIONS:
-            return _FUNCTIONS[name](_eval_node(node.args[0]))
-        raise ChecklistError(f"unknown function {name!r}")
-    raise ChecklistError(f"unsupported syntax {ast.dump(node)}")
+        case ast.UnaryOp(ast.USub(), operand):
+            return -_eval_node(operand)
+        case ast.BinOp(left, ast.Pow(), ast.Constant(value=int() as k)) if type(k) is int:
+            return _eval_node(left) ** k
+        case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
+            return _OPERATORS[type(op)](_eval_node(left), _eval_node(right))
+        case ast.Call(ast.Name(name), [ast.Constant(value=int() as k)], []) if name in _INDEXED and type(k) is int:
+            return _INDEXED[name](k)
+        case ast.Call(ast.Name(name), [arg], []) if name in _CALLS:
+            return _CALLS[name](_eval_node(arg))
+    raise ChecklistError(f"unsupported expression {ast.unparse(node)!r}")
 
 
 def _evaluate(item_id: str, anchor: str, expression: str) -> CheckResult:

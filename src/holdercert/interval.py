@@ -103,20 +103,16 @@ class Interval:
             return other
         if isinstance(other, (int, float)):
             return Interval.point(other)
-        return NotImplemented
+        raise TypeError(f"unsupported interval operand {other!r}")
 
     def __add__(self, other) -> "Interval":
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other) -> "Interval":
@@ -127,8 +123,6 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Interval(_down(min(p)), _up(max(p)))
 
@@ -136,8 +130,6 @@ class Interval:
 
     def __truediv__(self, other) -> "Interval":
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         if o.lo <= 0.0 <= o.hi:
             raise DivisionByZeroInterval(f"divisor {o!r} contains zero")
         p = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)

@@ -33,6 +33,10 @@ class ConfigError(Exception):
 
 
 STATIONARY_TOL = 1e-12
+# Largest x_cap the search decides: the descent halves h0 ~ x_cap/(resolution - 1) 50 times,
+# which keeps the estimate within 1e-12 up to here (1.5e-14 measured at resolutions 64 to
+# 512, alpha 1/4 to 1/2) but not at 1e11 (1.3e-12 short at resolution 64, alpha 1/2).
+X_CAP_MAX = 1e10
 _SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
 _LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
 _LB_STRIDE = 16  # the bound every kept tile pair must reach: the best pair of every 16th grid point
@@ -257,10 +261,10 @@ def _coordinate_descent(
     probe 8 reuses the base value.  The first maximal probe inside
     lo <= x < y <= hi wins; a piece with no inside probe (or only NaN
     quotients) keeps its coordinate.  f is g * np.sin(1/g), the operations
-    of ``holder.f``, and the winner is decided by the row's quotients
-    num / d**alpha_exp as one numpy array; at alpha 1/2 numpy takes d**0.5
-    as the correctly rounded sqrt, so the decisions there do not depend on
-    the platform's pow.  The reported q of a pair is ``holder.quotient``'s.
+    of ``holder.f``, and a row's winner is decided by ``_quotients``, the
+    sweep's expression; at alpha 1/2 numpy takes d**0.5 as the correctly
+    rounded sqrt, so the decisions there do not depend on the platform's
+    pow.  The reported q of a pair is ``holder.quotient``'s.
 
     A piece leaves the descent at the start of the first round in which
     x +- h and y +- h round to x and y: every probe of both axes then
@@ -268,39 +272,37 @@ def _coordinate_descent(
     """
     import numpy as np
 
-    x, y = (np.array(v, dtype=float) for v in zip(*starts))
-    lo, hi = (np.array(v, dtype=float) for v in zip(*bounds))
+    p = np.array([*zip(*starts)], dtype=float)  # p[0] holds each piece's x, p[1] its y
+    lo, hi = np.array([*zip(*bounds)], dtype=float)
     h = np.array(h0, dtype=float)
-    out_x, out_y = x.copy(), y.copy()
-    live = np.arange(x.size)  # the pieces still in the descent
+    out = p.copy()
+    live = np.arange(h.size)  # the pieces still in the descent
     with np.errstate(all="ignore"):  # probes outside the piece may be <= 0 or NaN
-        fx, fy = x * np.sin(1.0 / x), y * np.sin(1.0 / y)
+        fp = p * np.sin(1.0 / p)
         for _ in range(50):
-            settled = (x + h == x) & (x - h == x) & (y + h == y) & (y - h == y)
+            settled = ((p + h == p) & (p - h == p)).all(axis=0)
             if settled.any():
-                out_x[live[settled]], out_y[live[settled]] = x[settled], y[settled]
-                live, x, y, fx, fy, lo, hi, h = (v[~settled] for v in (live, x, y, fx, fy, lo, hi, h))
+                out[:, live[settled]] = p[:, settled]
+                live, p, fp, lo, hi, h = (v[..., ~settled] for v in (live, p, fp, lo, hi, h))
                 if not live.size:
                     break
             rows = np.arange(live.size)
             for axis in (0, 1):
-                base, fbase, other, fother = (x, fx, y, fy) if axis == 0 else (y, fy, x, fx)
-                g = base[:, None] + h[:, None] * (np.arange(17) - 8) / 8.0
+                g = p[axis, :, None] + h[:, None] * (np.arange(17) - 8) / 8.0
                 fg = g * np.sin(1.0 / g)
-                fg[:, 8] = fbase  # probe 8 is the base point
-                px, py = (g, other[:, None]) if axis == 0 else (other[:, None], g)
-                inside = (lo[:, None] <= px) & (px < py) & (py <= hi[:, None])
-                num, d = np.abs(fother[:, None] - fg), py - px
-                q = num / d**alpha_exp
+                fg[:, 8] = fp[axis]  # probe 8 is the base point
+                (x, y), (fx, fy) = p[:, :, None], fp[:, :, None]
+                x, fx, y, fy = (g, fg, y, fy) if axis == 0 else (x, fx, g, fg)
+                inside = (lo[:, None] <= x) & (x < y) & (y <= hi[:, None])
+                q = _quotients(x, fx, y, fy, alpha_exp)
                 q[~inside | np.isnan(q)] = -1.0
                 k = q.argmax(axis=1)
                 moved = q[rows, k] > -1.0
-                base = np.where(moved, g[rows, k], base)
-                fbase = np.where(moved, fg[rows, k], fbase)
-                x, fx, y, fy = (base, fbase, y, fy) if axis == 0 else (x, fx, base, fbase)
+                p[axis] = np.where(moved, g[rows, k], p[axis])
+                fp[axis] = np.where(moved, fg[rows, k], fp[axis])
             h = h * 0.5
-        out_x[live], out_y[live] = x, y
-    return list(zip(out_x.tolist(), out_y.tolist()))
+        out[:, live] = p
+    return list(zip(*out.tolist()))
 
 
 def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float) -> list[QuotientRecord]:
@@ -360,8 +362,8 @@ def global_sup(
     """
     if not 1 <= n_intervals <= N_MAX - 1:  # J_N reads alpha_{N+1}
         raise ConfigError(f"n_intervals must be in [1, {N_MAX - 1}], got {n_intervals}")
-    if not 4.0 / math.pi <= x_cap < math.inf:  # also rejects NaN
-        raise ConfigError(f"x_cap must be finite and >= 4/pi, got {x_cap!r}")
+    if not 4.0 / math.pi <= x_cap <= X_CAP_MAX:  # also rejects NaN
+        raise ConfigError(f"x_cap must be in [4/pi, {X_CAP_MAX:g}], got {x_cap!r}")
     if grid_resolution < 64:
         raise ConfigError(f"grid_resolution must be >= 64, got {grid_resolution}")
     if not 0.0 < alpha_exp <= 0.5:

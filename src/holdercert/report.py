@@ -47,7 +47,7 @@ class VerificationReport:
         counts = {PASSED: 0, FAILED: 0, UNDECIDED: 0}
         for c in self.checks:
             counts[c.verdict] += 1
-        return {"passed": counts[PASSED], "failed": counts[FAILED], "undecided": counts[UNDECIDED]}
+        return counts
 
     @property
     def ok(self) -> bool:

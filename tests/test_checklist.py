@@ -106,6 +106,12 @@ class TestEvaluator:
             "2 ** pi < 10",
             "1 <= 2",
             "'a' < 'b'",
+            "True < 2",
+            "f(1, 2) < 1",
+            "sin(x=1) < 1",
+            "alpha(n) < 1",
+            "1 % 2 < 1",
+            "1 // 2 < 1",
         ],
     )
     def test_rejects_bad_syntax(self, expr):

@@ -266,6 +266,18 @@ class TestNorm:
         assert main(["norm", "--n", "10000"]) == 2
         assert "n_intervals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_cap", ["1.0000000000000002e10", "1e12", "1.7976931348623157e308"])
+    def test_x_cap_past_the_decided_range_exit_two(self, x_cap, monkeypatch, tmp_path, capsys):
+        def fail(*args):
+            raise AssertionError("search ran for an out-of-range --x-cap")
+
+        monkeypatch.setattr("holdercert.optimizer._piece_sups", fail)
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--x-cap", x_cap, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "x_cap" in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("x_cap", ["inf", "-inf", "nan"])
 def test_non_finite_x_cap_exit_two(x_cap, monkeypatch, tmp_path, capsys):
@@ -355,6 +367,7 @@ class TestImports:
             (["norm", "--resolution", "63"], 2),
             (["landscape", "--x-cap", "inf"], 2),
             (["landscape", "--n", "3", "--resolution", "64"], 0),
+            (["norm", "--x-cap", "1e12"], 2),
         ],
     )
     def test_no_numpy(self, argv, code):

@@ -1,6 +1,7 @@
 """Interval kernel: enclosure, monotonicity, width control, error surface."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -69,6 +70,14 @@ class TestArithmetic:
     def test_scalar_mixing(self):
         a = 2 * Interval(1, 2) + 1.0
         assert a.lo <= 3.0 and a.hi >= 5.0
+
+    @pytest.mark.parametrize("other", ["1", Fraction(1, 3), None])
+    def test_unsupported_operands_raise_type_error(self, other):
+        a = Interval(1.0, 2.0)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for lhs, rhs in ((a, other), (other, a)):  # forward and reflected
+                with pytest.raises(TypeError):
+                    op(lhs, rhs)
 
     def test_even_power_clips_at_zero(self):
         a = Interval(-1, 2) ** 2

@@ -503,6 +503,19 @@ class TestGlobalSup:
         with pytest.raises(ConfigError):
             global_sup(5, alpha_exp=0.9)
 
+    def test_x_cap_range_is_the_decided_range(self, monkeypatch):
+        # the largest accepted cap still gives the default estimate at the coarsest grid
+        rep = global_sup(200, opt.X_CAP_MAX, 64)
+        assert rep.sup_estimate == pytest.approx(global_sup().sup_estimate, rel=0.0, abs=1e-12)
+
+        def fail(*args):
+            raise AssertionError("a piece was searched")
+
+        monkeypatch.setattr(opt, "_piece_sups", fail)
+        for x_cap in (math.nextafter(opt.X_CAP_MAX, math.inf), 1e12, 1.7976931348623157e308):
+            with pytest.raises(ConfigError, match="x_cap"):
+                global_sup(5, x_cap=x_cap)
+
     def test_last_piece_needs_a_certified_root(self, monkeypatch):
         # J_N reads alpha_{N+1}, so N = N_MAX is rejected before any search
         def fail(*args):
