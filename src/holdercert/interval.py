@@ -18,7 +18,7 @@ sin(t + pi/2), one quadrant on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 
 class IntervalError(Exception):
@@ -50,32 +50,47 @@ _KERNEL_CUT = 0.7853981633974483  # <= pi/4; below this no reduction is needed
 ARGUMENT_BUDGET = 1.0e6
 
 _INF = math.inf
+_MAX = sys.float_info.max
 
 
+# outward nudges by `steps` floats, 1 or 2
 def _down(x: float, steps: int = 1) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, -_INF)
-    return x
+    x = math.nextafter(x, -_INF)
+    return x if steps == 1 else math.nextafter(x, -_INF)
 
 
 def _up(x: float, steps: int = 1) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, _INF)
-    return x
+    x = math.nextafter(x, _INF)
+    return x if steps == 1 else math.nextafter(x, _INF)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] of finite binary64 values."""
+    """Closed interval [lo, hi] of finite binary64 values; immutable, equal and hashed by endpoints."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite: [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float) -> None:
+        # NaN fails the chained test; an int beyond the float range exceeds _MAX
+        if not -_MAX <= lo <= hi <= _MAX:
+            raise ValueError(f"interval endpoints must be finite and ordered: [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def _immutable(self, name: str, *value) -> None:
+        raise AttributeError(f"Interval is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.hi)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, v: float) -> "Interval":
@@ -95,24 +110,22 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: an Interval operand is used as is --------------------
 
     @staticmethod
     def _coerce(other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
         if isinstance(other, (int, float)):
             return Interval.point(other)
         raise TypeError(f"unsupported interval operand {other!r}")
 
     def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
         return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other) -> "Interval":
@@ -121,15 +134,22 @@ class Interval:
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
+    # Nonnegative operands (for /, a positive divisor): by monotone rounding the two extreme
+    # results are the floats min/max of all four would pick, up to a zero's sign, which _down/_up erase.
+
     def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
+        if self.lo >= 0.0 and o.lo >= 0.0:
+            return Interval(_down(self.lo * o.lo), _up(self.hi * o.hi))
         p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Interval(_down(min(p)), _up(max(p)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
+        if o.lo > 0.0 and self.lo >= 0.0:
+            return Interval(_down(self.lo / o.hi), _up(self.hi / o.lo))
         if o.lo <= 0.0 <= o.hi:
             raise DivisionByZeroInterval(f"divisor {o!r} contains zero")
         p = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
@@ -139,7 +159,7 @@ class Interval:
         return self._coerce(other).__truediv__(self)
 
     def __pow__(self, k: int) -> "Interval":
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise DomainError(f"interval power requires a non-negative int, got {k!r}")
         if k == 0:
             return Interval(1.0, 1.0)
@@ -153,6 +173,8 @@ class Interval:
             lo, hi = hi, lo
         return Interval(_down(lo, 2), _up(hi, 2))
 
+
+_set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__  # slot setters that skip __setattr__
 
 PI = Interval(math.pi, math.nextafter(math.pi, _INF))
 HALF_PI = PI / 2

@@ -7,7 +7,8 @@ command runs.  The test modules import them as ``from oracles import ...``
 - ``ddf_iv``: an interval form of f'';
 - ``interval_sup``: the per-piece search for one piece J_n, n >= 1;
 - ``brute_grid_oracle``: the exhaustive grid maximum of the quotient;
-- ``spot_check_max``: the quotient maximum over seeded random pairs.
+- ``spot_check_max``: the quotient maximum over seeded random pairs;
+- ``simpson_from_scratch``: composite Simpson with every level built anew.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from holdercert import interval as iv
+from holdercert import quadrature
 from holdercert.holder import (
     QuotientRecord,
     _recip,
@@ -176,3 +178,31 @@ def spot_check_max(n_pairs: int, lo: float, hi: float, seed: int = 20240901) -> 
     fx = x * np.sin(1.0 / x)
     fy = y * np.sin(1.0 / y)
     return float(np.max(np.abs(fy - fx) / np.sqrt(np.abs(y - x))))
+
+
+# -- quadrature ------------------------------------------------------------------
+
+
+def simpson_from_scratch(f, a: float, b: float) -> float:
+    """``composite_simpson`` with each level evaluated on its whole
+    ``np.linspace`` grid; the nested refinement must return the same float.
+    Reads the budget and tolerance from ``holdercert.quadrature`` per call."""
+    if a == b:
+        return 0.0
+
+    def simpson(panels: int) -> float:
+        x = np.linspace(a, b, 2 * panels + 1)
+        y = f(x)
+        h = (b - a) / (2 * panels)
+        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+    panels = 8
+    prev = simpson(panels)
+    while True:
+        panels *= 2
+        if panels > quadrature.MAX_PANELS:
+            raise quadrature.QuadratureBudgetExceeded(f"no convergence within {panels // 2} panels")
+        cur = simpson(panels)
+        if abs(cur - prev) <= 0.25 * quadrature.REL_TOL * max(abs(cur), 1e-300):
+            return cur
+        prev = cur

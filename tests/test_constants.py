@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from holdercert import constants
+from holdercert import constants, holder
 from holdercert.checks import PASSED
 from holdercert.constants import (
     c_n,
@@ -17,10 +17,45 @@ from holdercert.constants import (
     tail_sqrt_c_bound,
 )
 from holdercert.quadrature import QuadratureBudgetExceeded, composite_simpson
+from holdercert.report import run_verification
 from holdercert.roots import find_alpha
+from oracles import simpson_from_scratch
 
 I_ORACLE = {1: 2569.108500733336, 2: 12664.695493401992, 5: 199381.51595128776}
 C_ORACLE = {1: 2.2563463338991654, 2: 1.8274008610234556, 3: 1.7075267875581779}
+
+
+# integrand points of run_verification(200) when every Simpson level
+# evaluates its whole grid, as simpson_from_scratch does
+FROM_SCRATCH_POINTS = 847_345
+
+
+def _counted(f, sizes: list):
+    def g(u):
+        sizes.append(u.size)
+        return f(u)
+
+    return g
+
+
+@pytest.fixture(scope="module")
+def verify_integrals():
+    """(integrand, a, b, value, points) of every composite_simpson call in
+    run_verification(200), with the constants rows rebuilt."""
+    calls = []
+
+    def recording(f, a, b):
+        sizes = []
+        value = composite_simpson(_counted(f, sizes), a, b)
+        calls.append((f, a, b, value, sum(sizes)))
+        return value
+
+    constants.c_n.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constants, "composite_simpson", recording)
+        patch.setattr(holder, "composite_simpson", recording)
+        run_verification(200)
+    return calls
 
 
 class TestQuadrature:
@@ -33,6 +68,42 @@ class TestQuadrature:
         monkeypatch.setattr("holdercert.quadrature.MAX_PANELS", 64)
         with pytest.raises(QuadratureBudgetExceeded):
             composite_simpson(lambda u: np.abs(np.sin(1.0 / (u + 1e-8))), 0.0, 1.0)
+
+    @pytest.mark.parametrize("integrand", [lambda u: np.sqrt(u - 0.5), lambda u: 1.0 / u])
+    def test_non_finite_value_fails_at_the_first_level(self, integrand):
+        sizes = []
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(QuadratureBudgetExceeded, match="at 8 panels is not finite"):
+                composite_simpson(_counted(integrand, sizes), 0.0, 1.0)
+        assert sum(sizes) <= 17
+
+    def test_every_verify_integral_equals_the_from_scratch_rule(self, verify_integrals):
+        # I_n for n <= 200, 50 Wirtinger pairs and the equality case
+        assert len(verify_integrals) == 200 + 2 * 50 + 2
+        sizes = []
+        for f, a, b, value, _ in verify_integrals:
+            assert value == simpson_from_scratch(_counted(f, sizes), a, b), (a, b)
+        assert sum(sizes) == FROM_SCRATCH_POINTS
+
+    def test_verify_evaluates_about_half_the_points(self, verify_integrals):
+        assert sum(c[4] for c in verify_integrals) <= 0.55 * FROM_SCRATCH_POINTS
+
+    @pytest.mark.parametrize("k", [3, 10, 11, 12])
+    def test_budget_path_equals_the_from_scratch_rule(self, monkeypatch, k):
+        # I_1 settles at 2**11 panels: budgets below, just below, at and above it
+        monkeypatch.setattr("holdercert.quadrature.MAX_PANELS", 2**k)
+        a, b = find_alpha(1).alpha, find_alpha(2).alpha
+        for f, lo, hi in (
+            (lambda u: u**4 * np.sin(u) ** 2, a, b),
+            (lambda u: np.abs(np.sin(1.0 / (u + 1e-8))), 0.0, 1.0),
+        ):
+            outcomes = []
+            for rule in (composite_simpson, simpson_from_scratch):
+                try:
+                    outcomes.append(rule(f, lo, hi))
+                except QuadratureBudgetExceeded:
+                    outcomes.append("budget")
+            assert outcomes[0] == outcomes[1], (k, lo, hi)
 
 
 class TestOscillationIntegral:

@@ -1,8 +1,11 @@
 """Interval kernel: enclosure, monotonicity, width control, error surface."""
 
+import copy
 import math
 import operator
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -44,7 +47,10 @@ class TestConstruction:
         a = Interval.point(1.5)
         assert a.lo == a.hi == 1.5
 
-    @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (0, 10**400), (-(10**400), 0)],
+    )
     def test_rejects_nonfinite(self, lo, hi):
         with pytest.raises(ValueError):
             Interval(lo, hi)
@@ -52,6 +58,24 @@ class TestConstruction:
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
+
+    def test_largest_floats_are_accepted(self):
+        big = sys.float_info.max
+        assert Interval(-big, big).hi == big
+        assert Interval(int(big), int(big)).lo == int(big)
+
+    def test_immutable_equal_and_hashed_by_endpoints(self):
+        a = Interval(1.0, 2.0)
+        for name in ("lo", "hi", "width", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 3.0)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert (a.lo, a.hi) == (1.0, 2.0)
+        assert a == Interval(1.0, 2.0) and a != Interval(1.0, 3.0) and a != (1.0, 2.0)
+        assert {a, Interval(1.0, 2.0), Interval(-0.0, 0.0), Interval(0.0, 0.0)} == {a, Interval(0.0, 0.0)}
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == hash(a)
 
 
 class TestArithmetic:
@@ -79,6 +103,11 @@ class TestArithmetic:
                 with pytest.raises(TypeError):
                     op(lhs, rhs)
 
+    @pytest.mark.parametrize("k", [True, False, -1, 2.0])
+    def test_power_needs_a_non_negative_int(self, k):
+        with pytest.raises(DomainError):
+            Interval(2.0, 3.0) ** k
+
     def test_even_power_clips_at_zero(self):
         a = Interval(-1, 2) ** 2
         assert a.lo == 0.0 and a.hi >= 4.0
@@ -88,6 +117,64 @@ class TestArithmetic:
     def test_neg_abs(self):
         a = -Interval(1, 2)
         assert a == Interval(-2, -1)
+
+
+def _four_corner(a: Interval, b: Interval, op) -> Interval:
+    """The product or quotient from min/max of all four endpoint results."""
+    if op is operator.truediv and b.lo <= 0.0 <= b.hi:
+        raise DivisionByZeroInterval(f"divisor {b!r} contains zero")
+    p = (op(a.lo, b.lo), op(a.lo, b.hi), op(a.hi, b.lo), op(a.hi, b.hi))
+    return Interval(iv._down(min(p)), iv._up(max(p)))
+
+
+def _outcome(op, a, b):
+    try:
+        r = op(a, b)
+    except (ValueError, DivisionByZeroInterval) as exc:
+        return type(exc)
+    return r.lo.hex(), r.hi.hex()
+
+
+class TestFastPaths:
+    """* and / of nonnegative operands (positive divisor) take two endpoint
+    results; they must equal the four-corner min/max bit for bit."""
+
+    MAGNITUDES = (
+        *(0.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 1e-300),  # zero, subnormal, tiny normal
+        *(0.1, 1.0, 3.0, 1e300, 1.7e308, sys.float_info.max),  # up to the largest float
+    )
+
+    @classmethod
+    def intervals(cls, rng: random.Random, count: int):
+        for _ in range(count):
+            ends = []
+            for _ in range(2):
+                if rng.random() < 0.5:
+                    m = rng.choice(cls.MAGNITUDES)
+                else:  # any binary exponent, subnormal to near overflow
+                    m = math.ldexp(rng.random(), rng.randint(-1074, 1024))
+                ends.append(math.copysign(m, rng.choice((-1.0, 1.0))))
+            yield Interval(*sorted(ends))
+
+    @pytest.mark.parametrize("op", [operator.mul, operator.truediv])
+    def test_equal_to_the_four_corner_rule(self, op):
+        rng = random.Random(1234)
+        left = list(self.intervals(rng, 4000))
+        right = list(self.intervals(rng, 4000))
+        patterns, zeros = set(), set()
+        for a, b in zip(left, right):
+            patterns.add((self.sign_class(a), self.sign_class(b)))
+            zeros.update(math.copysign(1.0, e) for x in (a, b) for e in (x.lo, x.hi) if e == 0.0)
+            assert _outcome(op, a, b) == _outcome(lambda x, y: _four_corner(x, y, op), a, b), (a, b)
+        assert len(patterns) == 16 and zeros == {-1.0, 1.0}
+
+    @staticmethod
+    def sign_class(a: Interval) -> str:
+        if a.hi < 0.0:
+            return "negative"
+        if a.lo > 0.0:
+            return "positive"
+        return "mixed" if a.lo < 0.0 < a.hi else "zero end"
 
 
 class TestElementary:
