@@ -6,11 +6,12 @@ endpoint nudging: the accumulated slack (a few ulps per operation) is far
 below the smallest margin this package ever needs to certify (~1e-16 in
 absolute terms, on quantities of size ~1e-5).
 
-sin/cos compare with pi in integers only: the operand and pi/2 (from pi
-to within 2^-159) are both scaled by 2^202, so the argument reduction
-contributes no error floor, and the quarter turns q*pi/2 inside an interval
-operand, which locate its interior extrema, are counted exactly by floor
-division.  The reduction budget is |t| <= 1e6; larger arguments are
+sin/cos compare with pi in integers only: each endpoint is reduced once,
+exactly, against pi/2 (from pi to within 2^-159) at the scale 2^202, so the
+reduction contributes no error floor.  The one reduction gives the point
+value, and the signs of the remainders give the quarter turns q*pi/2 inside
+an interval operand, which locate its interior extrema; theta_n is minus
+alpha_n's remainder.  The reduction budget is |t| <= 1e6; larger arguments are
 rejected.  sin and cos share one kernel: cos t is evaluated as
 sin(t + pi/2), one quadrant on.
 """
@@ -41,9 +42,9 @@ class ArgumentTooLarge(IntervalError):
 # binary64 endpoints of pi bracket the true value (math.pi rounds pi down).
 _PI_SCALED = 5048344754617993871973410141242436836214643421490683230289920
 
-# pi/2 scaled by 2^202
-_SCALE_BITS = 202
+# pi/2 scaled by 2^202, the scale of every reduction
 _HALF_PI_INT = 2 * _PI_SCALED
+_SCALE, _SCALE_INT = 2.0**202, 2**202
 
 _KERNEL_CUT = 0.7853981633974483  # <= pi/4; below this no reduction is needed
 
@@ -200,79 +201,55 @@ def asin(a: Interval) -> Interval:
     return Interval(_down(math.asin(a.lo), 2), _up(math.asin(a.hi), 2))
 
 
-def _scaled(x: float) -> tuple[int, int, int]:
-    """x and pi/2 as integers at one scale 2^e: (x 2^e, pi/2 2^e, e), with
-    e = 202 unless x has bits below 2^-202 (then |x| < 2^-149)."""
-    num, den = x.as_integer_ratio()  # den is a power of two
-    e = max(den.bit_length() - 1, _SCALE_BITS)
-    return num << (e - den.bit_length() + 1), _HALF_PI_INT << (e - _SCALE_BITS), e
+def reduce_half_pi(x: float) -> tuple[float, float, int]:
+    """Reduce x to r = x - k*pi/2 with k the nearest quarter turn, exactly in integers.
 
-
-def half_pi_multiple_minus(q: int, x: float) -> float:
-    """q*pi/2 - x, pi/2 to within 2^-160, correctly rounded (int/int true division is)."""
-    n, h, e = _scaled(x)
-    return (q * h - n) / (1 << e)
-
-
-def _reduce(x: float) -> tuple[float, float, int]:
-    """Reduce x to r = x - k*pi/2 with |r| < pi/4, exactly in integers.
-
-    k is the nearest multiple, floor(x/(pi/2) + 1/2), by floor division.
-    Returns (r_hi, r_lo, k mod 4) where r_hi + r_lo represents r to ~2^-106.
+    k = floor(x/(pi/2) + 1/2), so r lies in [-pi/4, pi/4); returns (r_hi, r_lo, k)
+    with r_hi = r correctly rounded (it has r's sign) and r_hi + r_lo = r to ~2^-106.
+    |x| <= _KERNEL_CUT is its own remainder (no float lies between it and pi/4);
+    any larger |x| within budget has no bits below 2^-202, so x 2^202 is an integer.
     """
-    n, h, e = _scaled(x)
-    k = (2 * n + h) // (2 * h)
-    r = n - k * h
-    scale = 1 << e
-    r_hi = r / scale
+    if -_KERNEL_CUT <= x <= _KERNEL_CUT:
+        return x + 0.0, 0.0, 0  # + 0.0 turns -0.0 into +0.0, the integer path's zero
+    n = int(x * _SCALE)
+    k = (2 * n + _HALF_PI_INT) // (2 * _HALF_PI_INT)
+    r = n - k * _HALF_PI_INT
+    r_hi = r / _SCALE_INT  # int/int true division is correctly rounded
     a, b = r_hi.as_integer_ratio()
-    r_lo = (r * b - a * scale) / (b * scale)
-    return r_hi, r_lo, k & 3
+    return r_hi, (r * b - a * _SCALE_INT) / (b * _SCALE_INT), k
 
 
-def _sin_point(x: float, shift: int) -> tuple[float, float]:
-    """Enclosure of sin(x + shift*pi/2) at a float, shift 0 or 1; pads cover libm + kernel error."""
-    if abs(x) <= _KERNEL_CUT:
-        v = math.cos(x) if shift else math.sin(x)
-        return _down(v, 2), _up(v, 2)
-    rh, rl, q = _reduce(x)
-    q += shift
+def _sin_point(rh: float, rl: float, q: int) -> tuple[float, float]:
+    """Enclosure of sin(r + q*pi/2), r = rh + rl; pads cover libm + kernel error.
+    With rl = 0.0 the correction terms change no padded bit."""
     v = math.cos(rh) - rl * math.sin(rh) if q & 1 else math.sin(rh) + rl * math.cos(rh)
     if q & 2:  # negation is exact
         v = -v
     return _down(v, 2), _up(v, 2)
 
 
-def _check_budget(a: Interval) -> None:
+def _trig(a: Interval, shift: int) -> Interval:
+    """Enclosure of sin(t + shift*pi/2) over a, split at interior extrema.
+
+    Each endpoint is reduced once.  The quarter turns q with a.lo <= q*pi/2 <=
+    a.hi are first..last, the ceiling and floor of the endpoints over pi/2,
+    read off each remainder's sign; the maximum sits at q = 1 - shift, the
+    minimum at q = -1 - shift (mod 4), and the least q >= first of residue j
+    is first + (j - first) mod 4.  A point interval takes no extremum: the
+    point kernel encloses its image (at the one float extremum, cos at 0, the
+    clamp to [-1, 1] gives the same bound).
+    """
     if max(abs(a.lo), abs(a.hi)) > ARGUMENT_BUDGET:
         raise ArgumentTooLarge(f"trig argument {a!r} beyond reduction budget {ARGUMENT_BUDGET:g}")
-
-
-def _extrema(a: Interval, shift: int) -> tuple[bool, bool]:
-    """Does [a.lo, a.hi] hold a maximum, and a minimum, of sin(t + shift*pi/2)?
-
-    Exact: the quarter turns q with a.lo <= q*pi/2 <= a.hi are first..last,
-    and the maximum sits at q = 1 - shift, the minimum at q = -1 - shift
-    (mod 4); the least q >= first of residue j is first + (j - first) mod 4.
-    """
-    n, h, _ = _scaled(a.lo)
-    first = -(-n // h)
-    n, h, _ = _scaled(a.hi)
-    last = n // h
-    return first + (1 - shift - first) % 4 <= last, first + (-1 - shift - first) % 4 <= last
-
-
-def _trig(a: Interval, shift: int) -> Interval:
-    """Enclosure of sin(t + shift*pi/2) over a, split at interior extrema.  A
-    point interval takes none: the point kernel encloses its image (at the one
-    float extremum, cos at 0, the clamp to [-1, 1] gives the same bound)."""
-    _check_budget(a)
-    lo, hi = _sin_point(a.lo, shift)
+    rh, rl, first = reduce_half_pi(a.lo)
+    lo, hi = _sin_point(rh, rl, first + shift)
     if a.hi != a.lo:
-        lo2, hi2 = _sin_point(a.hi, shift)
-        has_max, has_min = _extrema(a, shift)
-        hi = 1.0 if has_max else max(hi, hi2)
-        lo = -1.0 if has_min else min(lo, lo2)
+        first += rh > 0.0
+        rh, rl, last = reduce_half_pi(a.hi)
+        lo2, hi2 = _sin_point(rh, rl, last + shift)
+        last -= rh < 0.0
+        hi = 1.0 if first + (1 - shift - first) % 4 <= last else max(hi, hi2)
+        lo = -1.0 if first + (-1 - shift - first) % 4 <= last else min(lo, lo2)
     return Interval(max(lo, -1.0), min(hi, 1.0))
 
 

@@ -37,6 +37,9 @@ STATIONARY_TOL = 1e-12
 # which keeps the estimate within 1e-12 up to here (1.5e-14 measured at resolutions 64 to
 # 512, alpha 1/4 to 1/2) but not at 1e11 (1.3e-12 short at resolution 64, alpha 1/2).
 X_CAP_MAX = 1e10
+# Largest grid the sweep takes: its tile-pair arrays grow with the square of the tile
+# count (global_sup(1, 8, R, 1/2) peaks at 81 MB for R = 2^16, 215 MB for R = 2^17).
+RESOLUTION_MAX = 2**16
 _SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
 _LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
 _LB_STRIDE = 16  # the bound every kept tile pair must reach: the best pair of every 16th grid point
@@ -364,8 +367,8 @@ def global_sup(
         raise ConfigError(f"n_intervals must be in [1, {N_MAX - 1}], got {n_intervals}")
     if not 4.0 / math.pi <= x_cap <= X_CAP_MAX:  # also rejects NaN
         raise ConfigError(f"x_cap must be in [4/pi, {X_CAP_MAX:g}], got {x_cap!r}")
-    if grid_resolution < 64:
-        raise ConfigError(f"grid_resolution must be >= 64, got {grid_resolution}")
+    if not 64 <= grid_resolution <= RESOLUTION_MAX:
+        raise ConfigError(f"grid_resolution must be in [64, {RESOLUTION_MAX}], got {grid_resolution}")
     if not 0.0 < alpha_exp <= 0.5:
         raise ConfigError(f"alpha_exp must lie in (0, 1/2], got {alpha_exp!r}")
 

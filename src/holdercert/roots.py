@@ -92,9 +92,10 @@ def find_alpha(n: int) -> RootCertificate:
     point, which is the point estimate alpha; then the certified signs of
     phi at alpha -/+ w, w = 1e-12/4, doubling w on a side whose sign is not
     proved (never past the ends of the range).  The bracket is at most
-    1e-12 wide, or two ulps of alpha_n when that is larger.  theta is
-    (2n+1) pi/2 - alpha correctly rounded, with pi/2 to within 2^-160, so
-    the tangent residual stays tiny for all n.
+    1e-12 wide, or two ulps of alpha_n when that is larger.  theta is minus
+    alpha's remainder against its nearest quarter turn, 2n + 1 since 0 <
+    theta_n < 1/(n pi) < pi/4: (2n+1) pi/2 - alpha correctly rounded, with
+    pi/2 to within 2^-160, so the tangent residual stays tiny for all n.
     """
     if not (1 <= n <= N_MAX):
         raise ValueError(f"n must be in [1, {N_MAX}], got {n}")
@@ -113,7 +114,7 @@ def find_alpha(n: int) -> RootCertificate:
     w = BRACKET_WIDTH_TARGET / 4
     a = _certified_end(x, -w, lo, -sgn, n)
     b = _certified_end(x, w, hi, sgn, n)
-    theta = iv.half_pi_multiple_minus(2 * n + 1, x)
+    theta = -iv.reduce_half_pi(x)[0]
     residual = abs(x * math.tan(theta) - 1.0)
     return RootCertificate(n=n, bracket=Interval(a, b), alpha=x, theta=theta, residual=residual)
 

@@ -278,6 +278,18 @@ class TestNorm:
         assert "x_cap" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("resolution", ["65537", "1048576"])
+    def test_resolution_past_the_bound_exit_two(self, resolution, monkeypatch, tmp_path, capsys):
+        def fail(*args):
+            raise AssertionError("search ran for an out-of-range --resolution")
+
+        monkeypatch.setattr("holdercert.optimizer._piece_sups", fail)
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--resolution", resolution, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "grid_resolution" in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("x_cap", ["inf", "-inf", "nan"])
 def test_non_finite_x_cap_exit_two(x_cap, monkeypatch, tmp_path, capsys):
@@ -368,6 +380,7 @@ class TestImports:
             (["landscape", "--x-cap", "inf"], 2),
             (["landscape", "--n", "3", "--resolution", "64"], 0),
             (["norm", "--x-cap", "1e12"], 2),
+            (["norm", "--resolution", "65537"], 2),
         ],
     )
     def test_no_numpy(self, argv, code):

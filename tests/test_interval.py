@@ -457,15 +457,24 @@ def _has_extremum_ref(a: Interval, quarter: int) -> bool:
 
 
 def _assert_reduce_matches(x: float) -> None:
-    (got_hi, got_lo, got_q), (hi, lo, q) = iv._reduce(x), _reduce_ref(x)
-    assert (got_hi.hex(), got_lo.hex(), got_q) == (hi.hex(), lo.hex(), q), x
+    # hex tells the sign of a zero apart
+    (got_hi, got_lo, got_k), (hi, lo, q) = iv.reduce_half_pi(x), _reduce_ref(x)
+    assert (got_hi.hex(), got_lo.hex(), got_k & 3) == (hi.hex(), lo.hex(), q), x
+
+
+def _turns(a: Interval) -> tuple[int, int]:
+    """The first and last quarter turns in a, read off the two reductions as the kernel does."""
+    rh, _, first = iv.reduce_half_pi(a.lo)
+    rh2, _, last = iv.reduce_half_pi(a.hi)
+    return first + (rh > 0.0), last - (rh2 < 0.0)
 
 
 def _assert_extremum_matches(a: Interval) -> None:
-    # shifts 0 and 1 ask for quarters 1, -1, 0, -2: every residue mod 4
-    for shift in (0, 1):
-        want = (_has_extremum_ref(a, 1 - shift), _has_extremum_ref(a, -1 - shift))
-        assert iv._extrema(a, shift) == want, (a, shift)
+    first, last = _turns(a)
+    assert (first, last) == (math.ceil(Fraction(a.lo) / _HALF_PI_FRAC), math.floor(Fraction(a.hi) / _HALF_PI_FRAC)), a
+    # every residue mod 4: the turns of sin's and cos's extrema
+    for quarter in range(4):
+        assert (first + (quarter - first) % 4 <= last) == _has_extremum_ref(a, quarter), (a, quarter)
 
 
 def _sin_point_ref(x: float) -> tuple[float, float]:
@@ -473,7 +482,7 @@ def _sin_point_ref(x: float) -> tuple[float, float]:
     if abs(x) <= iv._KERNEL_CUT:
         v = math.sin(x)
         return iv._down(v, 2), iv._up(v, 2)
-    rh, rl, q = iv._reduce(x)
+    rh, rl, q = _reduce_ref(x)
     if q == 0:
         v = math.sin(rh) + rl * math.cos(rh)
     elif q == 1:
@@ -490,7 +499,7 @@ def _cos_point_ref(x: float) -> tuple[float, float]:
     if abs(x) <= iv._KERNEL_CUT:
         v = math.cos(x)
         return iv._down(v, 2), iv._up(v, 2)
-    rh, rl, q = iv._reduce(x)
+    rh, rl, q = _reduce_ref(x)
     if q == 0:
         v = math.cos(rh) - rl * math.sin(rh)
     elif q == 1:
@@ -506,7 +515,8 @@ def _trig_ref(a: Interval, point, max_quarter: int, min_quarter: int) -> Interva
     """The separate interval sin/cos bodies the shared one replaced, with
     extrema placed in rationals.  Point intervals take them too: the clamp
     to [-1, 1] must give the same bound at the one float extremum, cos at 0."""
-    iv._check_budget(a)
+    if max(abs(a.lo), abs(a.hi)) > iv.ARGUMENT_BUDGET:
+        raise ArgumentTooLarge(a)
     if a.width >= float(4 * _HALF_PI_FRAC) + 1e-9:
         return Interval(-1.0, 1.0)
     lo1, hi1 = point(a.lo)
@@ -532,8 +542,9 @@ def _assert_trig_matches(a: Interval) -> None:
     assert _bits(iv.sin, a) == _bits(_trig_ref, a, _sin_point_ref, 1, -1), a
     assert _bits(iv.cos, a) == _bits(_trig_ref, a, _cos_point_ref, 0, 2), a
     if a.lo == a.hi:
-        assert iv._sin_point(a.lo, 0) == _sin_point_ref(a.lo), a
-        assert iv._sin_point(a.lo, 1) == _cos_point_ref(a.lo), a
+        rh, rl, k = iv.reduce_half_pi(a.lo)
+        assert iv._sin_point(rh, rl, k) == _sin_point_ref(a.lo), a
+        assert iv._sin_point(rh, rl, k + 1) == _cos_point_ref(a.lo), a
 
 
 def _floats_around_multiples() -> list[float]:
@@ -549,8 +560,8 @@ def _floats_around_multiples() -> list[float]:
 
 
 class TestExactKernelReference:
-    """The integer reduction, the quarter-turn count and q*pi/2 - x agree
-    with the all-rational kernel bit for bit."""
+    """The integer reduction and the quarter turns read off it agree with
+    the all-rational kernel bit for bit."""
 
     @settings(max_examples=1000, derandomize=True)
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -630,32 +641,15 @@ class TestExactKernelReference:
         # count finds it, the point kernel skips it, and the clamp to [-1, 1]
         # gives the value inserting the maximum would
         assert _has_extremum_ref(Interval.point(0.0), 0)
-        assert iv._extrema(Interval.point(0.0), 1) == (True, False)
+        assert _turns(Interval.point(0.0)) == _turns(Interval.point(-0.0)) == (0, 0)
         assert iv.cos(Interval.point(0.0)) == Interval(math.nextafter(math.nextafter(1.0, 0.0), 0.0), 1.0)
 
-    @settings(max_examples=500, derandomize=True)
-    @given(
-        st.integers(min_value=-700_000, max_value=700_000),
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    )
-    def test_half_pi_multiple_minus_hypothesis(self, q, x):
-        assert iv.half_pi_multiple_minus(q, x).hex() == float(q * _HALF_PI_FRAC - Fraction(x)).hex()
-
-    def test_half_pi_multiple_minus_near_multiples(self):
-        # theta_n = (2n+1) pi/2 - alpha_n cancels all but a few bits of alpha_n
-        for x in _floats_around_multiples():
-            k = round(Fraction(x) / _HALF_PI_FRAC)
-            for q in (k - 1, k, k + 1):
-                want = float(q * _HALF_PI_FRAC - Fraction(x))
-                assert iv.half_pi_multiple_minus(q, x).hex() == want.hex(), (q, x)
-
     def test_subnormal_operands(self):
-        # these need a scale beyond 2^202 to make x an integer
+        # x 2^202 is no integer for these: they are their own remainders
         tiny = (5e-324, 3 * 2.0**-1070, 2.0**-1022 - 5e-324, 2.0**-1022, 3 * 2.0**-400, 2.0**-203)
         for x in (*tiny, *(-t for t in tiny)):
-            assert iv._scaled(x)[2] > 202, x
+            assert iv.reduce_half_pi(x) == (x, 0.0, 0), x
             _assert_reduce_matches(x)
-            assert iv.half_pi_multiple_minus(1, x).hex() == float(_HALF_PI_FRAC - Fraction(x)).hex()
             lo, hi = min(x, 0.0), max(x, 0.0)
             for a in (
                 Interval.point(x),
@@ -668,3 +662,23 @@ class TestExactKernelReference:
             ):
                 _assert_extremum_matches(a)
                 _assert_trig_matches(a)
+
+    def test_verify_reduces_each_endpoint_once(self, monkeypatch):
+        # run_verification(200) with its root and constant caches cold makes
+        # 1,841 integer reductions; reducing an endpoint again to count the
+        # quarter turns in its interval made 7,105
+        from holdercert import constants, roots
+        from holdercert.report import run_verification
+
+        reduce, reduced = iv.reduce_half_pi, []
+
+        def counted(x):
+            if abs(x) > iv._KERNEL_CUT:
+                reduced.append(x)
+            return reduce(x)
+
+        roots.find_alpha.cache_clear()
+        constants.c_n.cache_clear()
+        monkeypatch.setattr(iv, "reduce_half_pi", counted)
+        run_verification(200)
+        assert 0 < len(reduced) <= 2000

@@ -503,6 +503,19 @@ class TestGlobalSup:
         with pytest.raises(ConfigError):
             global_sup(5, alpha_exp=0.9)
 
+    def test_resolution_range_is_bounded(self, monkeypatch):
+        # the largest accepted grid still runs (81 MB peak for one piece) and agrees with the default
+        rep = global_sup(1, 8.0, opt.RESOLUTION_MAX)
+        assert rep.sup_estimate == pytest.approx(global_sup(1).sup_estimate, rel=0.0, abs=1e-12)
+
+        def fail(*args):
+            raise AssertionError("a piece was searched")
+
+        monkeypatch.setattr(opt, "_piece_sups", fail)
+        for resolution in (opt.RESOLUTION_MAX + 1, 2**20):
+            with pytest.raises(ConfigError, match="grid_resolution"):
+                global_sup(1, grid_resolution=resolution)
+
     def test_x_cap_range_is_the_decided_range(self, monkeypatch):
         # the largest accepted cap still gives the default estimate at the coarsest grid
         rep = global_sup(200, opt.X_CAP_MAX, 64)

@@ -6,6 +6,7 @@ mpmath root finding; the frozen constants below came from the latter.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -151,15 +152,19 @@ class TestCertificates:
 
     def test_point_estimate_is_the_newton_fixed_point(self):
         # the fixed point is the best float for alpha_n: no float neighbour
-        # has a smaller tangent residual
+        # has a smaller tangent residual; theta is (2n+1) pi/2 - x correctly
+        # rounded, with pi/2 as the kernel's rational
+        def theta(n, x):
+            return float((2 * n + 1) * Fraction(iv._HALF_PI_INT, 2**202) - Fraction(x))
+
         def residual(n, x):
-            return abs(x * math.tan(iv.half_pi_multiple_minus(2 * n + 1, x)) - 1.0)
+            return abs(x * math.tan(theta(n, x)) - 1.0)
 
         for n in range(1, N_MAX + 1):
             cert = find_alpha(n)
             x = cert.alpha
             assert x - phi(x) / dphi(x) == x
-            assert cert.theta == iv.half_pi_multiple_minus(2 * n + 1, x)
+            assert cert.theta.hex() == theta(n, x).hex()
             assert cert.residual == residual(n, x)
             assert cert.residual <= residual(n, math.nextafter(x, -math.inf))
             assert cert.residual <= residual(n, math.nextafter(x, math.inf))
