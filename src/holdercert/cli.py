@@ -1,4 +1,4 @@
-"""Command-line surface: verify | roots | constants | norm | landscape.
+"""Command-line surface: verify | roots | constants | norm.
 
 Exit codes: 0 success (verify: every check passed), 1 a check failed or
 stayed undecided, 2 configuration or I/O error.  Identical flags produce
@@ -15,7 +15,6 @@ from dataclasses import astuple, fields
 
 from . import __version__
 from .constants import ConstantsRow, c_n
-from .holder import f, piece_bounds
 from .optimizer import ConfigError, global_sup
 from .report import (
     VERIFY_N_MAX,
@@ -84,29 +83,6 @@ def cmd_norm(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_landscape(args: argparse.Namespace) -> int:
-    if not 0 <= args.n <= N_MAX - 1:  # J_n reads alpha_{n+1}
-        raise ConfigError(f"--n must be in [0, {N_MAX - 1}], got {args.n}")
-    if args.resolution < 2:
-        raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
-    if not math.isfinite(args.x_cap):
-        raise ConfigError(f"x_cap must be finite, got {args.x_cap!r}")
-    lo, hi = piece_bounds(args.n, args.x_cap)
-    if not lo < hi:  # J_0 is cut at x_cap, which must lie right of 1/alpha_1
-        raise ConfigError(f"x_cap must exceed the left end {lo!r} of J_0, got {args.x_cap!r}")
-    step = (hi - lo) / (args.resolution - 1)
-    xs = [lo + i * step for i in range(args.resolution)]  # np.linspace's points, bit for bit
-    xs[-1] = hi
-    fv = [f(x) for x in xs]
-    rows = ["x,y,q"]
-    for x, fx in zip(xs, fv):
-        for y, fy in zip(xs, fv):
-            q = 0.0 if x == y else abs(fy - fx) / abs(y - x) ** 0.5
-            rows.append(f"{x!r},{y!r},{q!r}")
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holdercert",
@@ -139,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=512)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("landscape", help="CSV quotient landscape over one piece")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--x-cap", type=float, default=8.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_landscape)
     return parser
 
 

@@ -38,7 +38,7 @@ STATIONARY_TOL = 1e-12
 # 512, alpha 1/4 to 1/2) but not at 1e11 (1.3e-12 short at resolution 64, alpha 1/2).
 X_CAP_MAX = 1e10
 # Largest grid the sweep takes: its tile-pair arrays grow with the square of the tile
-# count (global_sup(1, 8, R, 1/2) peaks at 81 MB for R = 2^16, 215 MB for R = 2^17).
+# count (global_sup(1, 8, R, 1/2) peaks at 83 MB for R = 2^16, 213 MB for R = 2^17).
 RESOLUTION_MAX = 2**16
 _SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
 _LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
@@ -154,10 +154,22 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
     fmin_J) / d_min^alpha, d_min the distance from I's last point to J's
     first.  A child keeps its parent's S unless its tiles touch; then S is
     the larger of their own slopes (each including the one to the next
-    tile).  Bounds are widened by _SLACK, far more than the few ulps of
-    float error in a bound or a scanned entry, so every pair left out is
-    below lb.  A piece whose grid is not finite and strictly increasing
-    keeps every tile."""
+    tile).  A pair that passes is tested again with the chord bound
+    max(N0 / d_min^alpha, (N0 + S t) / d_max^alpha), N0 = |f(J's first
+    point) - f(I's last point)|, S the larger of I's and J's slopes, and
+    t = d_max - d_min, the sum of the two tiles' widths (summed, not
+    subtracted, so it keeps its relative accuracy):
+      a pair at distance d_min + u, 0 <= u <= t, has |df| <= N0 + S u;
+      g(u) = (N0 + S u) / (d_min + u)^alpha has g' of the sign of
+      S (1 - alpha) u + S d_min - alpha N0, which is increasing in u,
+      so g is largest at u = 0 or u = t.
+    Its first term is a grid entry, so it exceeds the tile pair's maximum
+    only at second order in the tile width; the other two bounds do at
+    first order.  On the diagonal d_min < 0 makes the chord NaN, which
+    keeps the pair.  Bounds are widened by _SLACK, far more than the few
+    ulps of float error in a bound or a scanned entry, so every pair left
+    out is below lb.  A piece whose grid is not finite and strictly
+    increasing keeps every tile."""
     import numpy as np
 
     pieces, width = xs.shape
@@ -201,6 +213,15 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
                 / (first[fj] - last[fi]) ** alpha_exp,
             )
         keep = (bound * _SLACK >= lb[fi // tiles]) | full[fi // tiles]
+        fi, fj, s = fi[keep], fj[keep], s[keep]
+        widths = last - first
+        n0 = np.abs(fv[:, ::size].ravel()[fj] - fv[:, size - 1 :: size].ravel()[fi])
+        spread = np.maximum(smax.take(fi), smax.take(fj)) * (widths.take(fi) + widths.take(fj))
+        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: a NaN chord keeps the pair
+            chord = np.maximum(
+                n0 / (first[fj] - last[fi]) ** alpha_exp, (n0 + spread) / (last[fj] - first[fi]) ** alpha_exp
+            )
+        keep = ~(chord * _SLACK < lb[fi // tiles]) | full[fi // tiles]
         fi, fj, s = fi[keep], fj[keep], s[keep]
     return lb, fi, fj
 

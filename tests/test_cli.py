@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import holdercert.optimizer as opt
 from holdercert.checks import CheckResult
 from holdercert.cli import main
 from holdercert.constants import ConstantsRow
@@ -297,66 +298,58 @@ def test_non_finite_x_cap_exit_two(x_cap, monkeypatch, tmp_path, capsys):
         raise AssertionError("work ran for a non-finite --x-cap")
 
     monkeypatch.setattr("holdercert.optimizer._piece_sups", fail)
-    monkeypatch.setattr("holdercert.cli.piece_bounds", fail)
-    for command in (["norm", "--n", "2", "--resolution", "64"], ["landscape", "--n", "0"]):
-        out = tmp_path / "out.txt"
-        assert main([*command, f"--x-cap={x_cap}", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "x_cap" in captured.err and captured.out == ""
-        assert not out.exists()
+    out = tmp_path / "out.txt"
+    assert main(["norm", "--n", "2", "--resolution", "64", f"--x-cap={x_cap}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "x_cap" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 class TestLandscape:
-    def test_row_count_and_bound(self, tmp_path):
-        out = tmp_path / "l.csv"
-        assert main(["landscape", "--n", "1", "--resolution", "64", "--out", str(out)]) == 0
-        text = out.read_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,y,q"
-        assert len(lines) == 1 + 64 * 64
-        for line in lines[1:]:
-            q = float(line.split(",")[2])
-            assert q <= math.sqrt(2.0) + 1e-9
+    """The quotient landscape over one piece's grid, as `norm`'s sweep builds
+    and searches it."""
 
-    def test_byte_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["landscape", "--n", "1", "--resolution", "16", "--out", str(a)]) == 0
-        assert main(["landscape", "--n", "1", "--resolution", "16", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    # J_0 starts at 1/alpha_1 = 0.2225, so a cap at 0.1 would grid outside it
-    @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (["--n", "0", "--x-cap", "0.1"], "x_cap"),
-            (["--n", "0", "--x-cap", "inf"], "x_cap"),
-            (["--n", "0", "--x-cap", "nan"], "x_cap"),
-            (["--resolution", "0"], "--resolution"),
-            (["--resolution", "1"], "--resolution"),
-            (["--n", "-1"], "--n must be in [0, 9999], got -1"),
-            (["--n", "10000"], "--n must be in [0, 9999], got 10000"),
-        ],
-    )
-    def test_bad_grid_exit_two(self, tmp_path, capsys, flags, named):
-        out = tmp_path / "l.csv"
-        assert main(["landscape", *flags, "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("n, resolution", [(0, 64), (3, 64), (1, 7), (200, 100)])
-    def test_grid_is_linspace(self, tmp_path, n, resolution):
+    def test_row_count_and_bound(self):
         import numpy as np
 
-        out = tmp_path / "l.csv"
-        assert main(["landscape", "--n", str(n), "--resolution", str(resolution), "--out", str(out)]) == 0
-        xs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1::resolution]]
-        assert xs == np.linspace(*piece_bounds(n, 8.0), resolution).tolist()
+        xs = np.linspace(*piece_bounds(1, 8.0), 64)
+        fv = xs * np.sin(1.0 / xs)
+        with np.errstate(all="ignore"):  # only the pairs x < y are finite
+            q = opt._quotients(xs[:, None], fv[:, None], xs[None, :], fv[None, :], 0.5)
+        assert q.shape == (64, 64)
+        upper = q[np.triu_indices(64, 1)]
+        assert upper.size == 64 * 63 // 2 and np.isfinite(upper).all()
+        assert (upper <= math.sqrt(2.0) + 1e-9).all()
+        # the sweep's winner is the landscape's largest entry
+        x, y = opt._grid_sweep([piece_bounds(1, 8.0)], 64, 0.5)[0]
+        assert q[xs.tolist().index(x), xs.tolist().index(y)] == upper.max()
 
-    def test_smallest_grid(self, tmp_path):
-        out = tmp_path / "l.csv"
-        assert main(["landscape", "--n", "0", "--resolution", "2", "--x-cap", "0.3", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 1 + 2 * 2
+    def test_byte_deterministic(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["norm", "--n", "1", "--resolution", "64", "--out", str(a)]) == 0
+        assert main(["norm", "--n", "1", "--resolution", "64", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n, resolution", [(0, 64), (3, 64), (1, 7), (200, 100)])
+    def test_grid_is_linspace(self, monkeypatch, n, resolution):
+        import numpy as np
+
+        grids, leaf_tiles = [], opt._leaf_tiles
+
+        def spy(xs, fv, points, alpha_exp):
+            grids.append(xs.copy())
+            return leaf_tiles(xs, fv, points, alpha_exp)
+
+        monkeypatch.setattr(opt, "_leaf_tiles", spy)
+        lo, hi = piece_bounds(n, 8.0)
+        opt._grid_sweep([(lo, hi)], resolution, 0.5)
+        (xs,) = grids
+        assert xs[0, :resolution].tolist() == np.linspace(lo, hi, resolution).tolist()
+        assert (xs[0, resolution:] == hi).all()  # padded to whole tiles with the last point
+
+    def test_smallest_grid(self):
+        # two points make one pair: the piece's ends
+        assert opt._grid_sweep([piece_bounds(0, 0.3)], 2, 0.5) == [piece_bounds(0, 0.3)]
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
@@ -377,8 +370,8 @@ class TestImports:
             (["verify", "--n-max", "652"], 2),
             (["constants", "--n", "10000"], 2),
             (["norm", "--resolution", "63"], 2),
-            (["landscape", "--x-cap", "inf"], 2),
-            (["landscape", "--n", "3", "--resolution", "64"], 0),
+            (["landscape"], 2),  # the removed command: argparse rejects it
+            (["roots", "--n", "3", "--out", "/dev/null"], 0),
             (["norm", "--x-cap", "1e12"], 2),
             (["norm", "--resolution", "65537"], 2),
         ],

@@ -336,6 +336,8 @@ class TestSweepPruning:
             return xs, xs * np.sin(1.0 / xs)
         # uneven spacing and a random walk: no structure of f to lean on
         xs = np.cumsum(rng.uniform(0.1, 1.0, (pieces, points)), axis=1)
+        if kind == "smooth":  # a monotone ramp on the uneven points: the chord bound prunes
+            return xs, np.arctan((xs - xs.mean(axis=1, keepdims=True)) / rng.uniform(2.0, 20.0, (pieces, 1)))
         fv = np.cumsum(rng.standard_normal((pieces, points)), axis=1)
         if kind == "spikes":  # a gentle walk with steep points off lb's subgrid
             fv = 0.01 * fv + 10.0 * (rng.random((pieces, points)) < 0.05) * (np.arange(points) % opt._LB_STRIDE != 0)
@@ -354,7 +356,7 @@ class TestSweepPruning:
         kept[(li // leaves)[:, None, None], rows[:, :, None], cols[:, None, :]] = True
         return lb, kept[:, :points, :points]
 
-    @pytest.mark.parametrize("kind", ["f", "walk", "spikes"])
+    @pytest.mark.parametrize("kind", ["f", "walk", "spikes", "smooth"])
     @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
     def test_skipped_pairs_are_below_the_bound(self, kind, alpha_exp):
         # 65, 120 and 200 points end in a partial tile
@@ -382,7 +384,6 @@ class TestSweepPruning:
         assert kept[1:, i, j].all()
 
     def test_search_evaluates_under_a_tenth_of_the_pairs(self, monkeypatch):
-        evaluated = 0
         quotients = opt._quotients
 
         def counted(*args):
@@ -393,8 +394,10 @@ class TestSweepPruning:
 
         monkeypatch.setattr(opt, "_quotients", counted)
         bounds = [piece_bounds(n, 8.0) for n in range(201)]
-        opt._grid_sweep(bounds, 512, 0.5)
-        assert evaluated < 0.07 * len(bounds) * 512 * 511 / 2
+        for alpha_exp in (0.5, 0.35):
+            evaluated = 0
+            opt._grid_sweep(bounds, 512, alpha_exp)
+            assert evaluated < 0.025 * len(bounds) * 512 * 511 / 2, alpha_exp
 
     def test_sweep_working_memory(self):
         # what the block and chunk sizes are for: the process's peak memory
@@ -407,6 +410,17 @@ class TestSweepPruning:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5e6
+
+    def test_largest_grid_memory(self):
+        # the README's --resolution bound: one piece at the largest grid
+        bounds = [piece_bounds(0, 8.0)]
+        tracemalloc.start()
+        try:
+            opt._grid_sweep(bounds, opt.RESOLUTION_MAX, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50e6
 
     def test_descent_drops_settled_pieces(self, monkeypatch):
         bounds = [piece_bounds(n, 8.0) for n in range(201)]
@@ -504,7 +518,7 @@ class TestGlobalSup:
             global_sup(5, alpha_exp=0.9)
 
     def test_resolution_range_is_bounded(self, monkeypatch):
-        # the largest accepted grid still runs (81 MB peak for one piece) and agrees with the default
+        # the largest accepted grid runs (test_largest_grid_memory bounds its memory) and agrees with the default
         rep = global_sup(1, 8.0, opt.RESOLUTION_MAX)
         assert rep.sup_estimate == pytest.approx(global_sup(1).sup_estimate, rel=0.0, abs=1e-12)
 
