@@ -38,7 +38,7 @@ STATIONARY_TOL = 1e-12
 # 512, alpha 1/4 to 1/2) but not at 1e11 (1.3e-12 short at resolution 64, alpha 1/2).
 X_CAP_MAX = 1e10
 # Largest grid the sweep takes: its tile-pair arrays grow with the square of the tile
-# count (global_sup(1, 8, R, 1/2) peaks at 83 MB for R = 2^16, 213 MB for R = 2^17).
+# count (global_sup(1, 8, R, 1/2) peaks at 67 MB for R = 2^16, 172 MB for R = 2^17).
 RESOLUTION_MAX = 2**16
 _SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
 _LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
@@ -147,29 +147,32 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
     best pair of every 16th grid point (a grid entry, so at most the grid
     maximum), and the kept leaf tile pairs li <= lj as flat indices of
     8-point tiles (leaf t holds xs.flat[8t .. 8t + 7]).  Tile pairs start
-    at 64 points; each whose bound reaches lb splits 2 x 2, down to 8.
-    Every quotient of a tile pair (I, J) is at most S d_max^(1-alpha), S
-    the largest adjacent slope from I's first point to J's last, d_max
-    their distance, and for J > I at most max(fmax_J - fmin_I, fmax_I -
-    fmin_J) / d_min^alpha, d_min the distance from I's last point to J's
-    first.  A child keeps its parent's S unless its tiles touch; then S is
-    the larger of their own slopes (each including the one to the next
-    tile).  A pair that passes is tested again with the chord bound
-    max(N0 / d_min^alpha, (N0 + S t) / d_max^alpha), N0 = |f(J's first
-    point) - f(I's last point)|, S the larger of I's and J's slopes, and
-    t = d_max - d_min, the sum of the two tiles' widths (summed, not
-    subtracted, so it keeps its relative accuracy):
+    at 64 points; each whose bounds reach lb splits 2 x 2, down to 8.
+    A tile's slope is its largest adjacent slope, the one to the next tile
+    included.  Every quotient of a pair (I, I) is at most smax_I
+    w_I^(1-alpha), w_I the tile's width, and of a pair I < J at most
+    max(fmax_J - fmin_I, fmax_I - fmin_J) / d_min^alpha, d_min the
+    distance from I's last point to J's first.  A pair that passes is
+    tested again with the chord bound max(N0 / d_min^alpha, (N0 + S t)
+    / d_max^alpha), N0 = |f(J's first point) - f(I's last point)|, S the
+    larger of I's and J's slopes, d_max the distance from I's first point
+    to J's last, and t = d_max - d_min, the sum of the two tiles' widths
+    (summed, not subtracted, so it keeps its relative accuracy):
       a pair at distance d_min + u, 0 <= u <= t, has |df| <= N0 + S u;
       g(u) = (N0 + S u) / (d_min + u)^alpha has g' of the sign of
       S (1 - alpha) u + S d_min - alpha N0, which is increasing in u,
       so g is largest at u = 0 or u = t.
     Its first term is a grid entry, so it exceeds the tile pair's maximum
-    only at second order in the tile width; the other two bounds do at
-    first order.  On the diagonal d_min < 0 makes the chord NaN, which
-    keeps the pair.  Bounds are widened by _SLACK, far more than the few
-    ulps of float error in a bound or a scanned entry, so every pair left
-    out is below lb.  A piece whose grid is not finite and strictly
-    increasing keeps every tile."""
+    only at second order in the tile width; the range bound does at first
+    order.  It implies the slope bound S' d_max^(1-alpha) for I < J, S'
+    the largest slope of tiles I..J: N0 <= S' d_min and S <= S', so
+    N0 + S t <= S' d_max and N0 / d_min^alpha <= S' d_max^(1-alpha).  It
+    is computed on the range bound's survivors only, which keeps the
+    sweep's peak memory down; on the diagonal d_min < 0 makes it NaN,
+    which keeps the pair.  Bounds are widened by _SLACK, far more than
+    the few ulps of float error in a bound or a scanned entry, so every
+    pair left out is below lb.  A piece whose grid is not finite and
+    strictly increasing keeps every tile."""
     import numpy as np
 
     pieces, width = xs.shape
@@ -191,30 +194,27 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
         size *= 2
         if size in _TILES:
             levels[size] = stats
-    top = levels[_TILES[0]][2]
-    ti, tj = np.triu_indices(top.shape[1])
-    span = np.triu(np.broadcast_to(top[:, None, :], (pieces, top.shape[1], top.shape[1])))
-    s = np.maximum.accumulate(span, axis=2)[:, ti, tj].ravel()  # S of tiles I..J
-    base = np.arange(pieces)[:, None] * top.shape[1]
+    ti, tj = np.triu_indices(width // _TILES[0])
+    base = np.arange(pieces)[:, None] * (width // _TILES[0])
     fi, fj = (base + ti).ravel(), (base + tj).ravel()  # tile I of piece p is p * tiles + I
     for size in _TILES:
         fmax, fmin, smax = levels[size]
         tiles = fmax.shape[1]
         if size < _TILES[0]:  # split each kept pair 2 x 2, on and above the diagonal
             fi, fj = 2 * fi[:, None] + [0, 0, 1, 1], 2 * fj[:, None] + [0, 1, 0, 1]
-            s = np.where(fj - fi <= 1, np.maximum(smax.take(fi), smax.take(fj)), s[:, None])
             keep = (fi <= fj) & (fj % tiles * size < n)
-            fi, fj, s = fi[keep], fj[keep], s[keep]
+            fi, fj = fi[keep], fj[keep]
         first, last = xs[:, ::size].ravel(), xs[:, size - 1 :: size].ravel()
-        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: fmin drops that NaN term
-            bound = np.fmin(
-                s * (last[fj] - first[fi]) ** (1.0 - alpha_exp),
+        widths = last - first
+        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: the range form is NaN there
+            bound = np.where(
+                fi == fj,
+                smax.take(fi) * widths.take(fi) ** (1.0 - alpha_exp),
                 np.maximum(fmax.take(fj) - fmin.take(fi), fmax.take(fi) - fmin.take(fj))
                 / (first[fj] - last[fi]) ** alpha_exp,
             )
         keep = (bound * _SLACK >= lb[fi // tiles]) | full[fi // tiles]
-        fi, fj, s = fi[keep], fj[keep], s[keep]
-        widths = last - first
+        fi, fj = fi[keep], fj[keep]
         n0 = np.abs(fv[:, ::size].ravel()[fj] - fv[:, size - 1 :: size].ravel()[fi])
         spread = np.maximum(smax.take(fi), smax.take(fj)) * (widths.take(fi) + widths.take(fj))
         with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: a NaN chord keeps the pair
@@ -222,7 +222,7 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
                 n0 / (first[fj] - last[fi]) ** alpha_exp, (n0 + spread) / (last[fj] - first[fi]) ** alpha_exp
             )
         keep = ~(chord * _SLACK < lb[fi // tiles]) | full[fi // tiles]
-        fi, fj, s = fi[keep], fj[keep], s[keep]
+        fi, fj = fi[keep], fj[keep]
     return lb, fi, fj
 
 
@@ -245,9 +245,10 @@ def _sweep_block(bounds: list[tuple[float, float]], points: int, alpha_exp: floa
 
     leaf = np.arange(_TILES[-1])
     below = (leaf[:, None] <= leaf)[:, :, None]  # [column, row, -]: masked in a leaf on the diagonal
-    xp = np.pad(  # whole top tiles, the last point repeated
-        np.stack([np.linspace(lo, hi, points) for lo, hi in bounds]), ((0, 0), (0, -points % _TILES[0])), mode="edge"
-    )
+    lo, hi = np.array(bounds).T
+    # one linspace gives each row its own call's bits while every lo < hi, as global_sup's pieces
+    # have (a row with lo == hi switches every row to another formula); pad to whole top tiles
+    xp = np.pad(np.linspace(lo, hi, points, axis=1), ((0, 0), (0, -points % _TILES[0])), mode="edge")
     fp = xp * np.sin(1.0 / xp)
     xs, fv = xp[:, :points], fp[:, :points]
     _, li, lj = _leaf_tiles(xp, fp, points, alpha_exp)
@@ -265,8 +266,7 @@ def _sweep_block(bounds: list[tuple[float, float]], points: int, alpha_exp: floa
         won = row_max[rows, at] > -np.inf
         vals = _quotients(xs[rows, at, None], fv[rows, at, None], xs, fv, alpha_exp)  # the winning rows
         vals[np.arange(points) <= at[:, None]] = -np.inf
-    lo, hi = np.array(bounds).T  # a NaN grid keeps its ends
-    best_x = np.where(won, xs[rows, at], lo)
+    best_x = np.where(won, xs[rows, at], lo)  # a NaN grid keeps its ends
     best_y = np.where(won, xs[rows, vals.argmax(axis=1)], hi)
     return list(zip(best_x.tolist(), best_y.tolist()))
 

@@ -371,6 +371,25 @@ class TestSweepPruning:
             assert dropped.any()
             assert np.all(vals[dropped] < np.broadcast_to(lb[:, None], vals.shape)[dropped])
 
+    @pytest.mark.parametrize("kind", ["f", "walk", "spikes", "smooth"])
+    @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
+    def test_chord_implies_the_slope_bound(self, kind, alpha_exp):
+        # why _leaf_tiles needs no slope bound: for I < J the chord bound is at most
+        # S' d_max^(1-alpha), S' the largest slope of tiles I..J (each tile's slopes
+        # include the one to the next tile, as in the sweep)
+        xs, fv = self._grids(np.random.default_rng(20241), kind, 20, 256)
+        slope = np.pad(np.abs(np.diff(fv, axis=1)) / np.diff(xs, axis=1), ((0, 0), (0, 1)))
+        for size in (64, 32, 16, 8):
+            first, last = xs[:, ::size], xs[:, size - 1 :: size]
+            smax = slope.reshape(len(xs), -1, size).max(axis=2)
+            i, j = np.triu_indices(first.shape[1], 1)
+            s_prime = np.stack([smax[:, a : b + 1].max(axis=1) for a, b in zip(i, j)], axis=1)
+            d_min, d_max = first[:, j] - last[:, i], last[:, j] - first[:, i]
+            n0 = np.abs(fv[:, ::size][:, j] - fv[:, size - 1 :: size][:, i])
+            spread = np.maximum(smax[:, i], smax[:, j]) * ((last - first)[:, i] + (last - first)[:, j])
+            chord = np.maximum(n0 / d_min**alpha_exp, (n0 + spread) / d_max**alpha_exp)
+            assert np.all(chord <= s_prime * d_max ** (1.0 - alpha_exp) * (1.0 + 1e-12)), size
+
     def test_degenerate_grids_are_scanned_in_full(self):
         xs = np.tile(np.linspace(0.1, 2.0, 65), (4, 1))
         fv = xs * np.sin(1.0 / xs)
@@ -420,7 +439,7 @@ class TestSweepPruning:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 50e6
+        assert peak <= 40e6
 
     def test_descent_drops_settled_pieces(self, monkeypatch):
         bounds = [piece_bounds(n, 8.0) for n in range(201)]
