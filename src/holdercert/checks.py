@@ -12,9 +12,9 @@ the one verdict built on it: every box proof goes through it.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .interval import Interval
 
@@ -25,8 +25,7 @@ SUBDIVISION_BUDGET = 1_000_000  # boxes one box proof may process
 EQUAL_TOL = 1e-12  # what certified_equal accepts as agreement
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verified inequality: identifier, claim anchor, verdict, margin.
 
     ``margin`` is a certified lower bound on how much room the inequality
@@ -60,10 +59,30 @@ def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult
     return merge_results(check_id, anchor, *links)
 
 
-def _round_down(q: Fraction) -> float:
-    """The largest double <= q: a margin never claims more room than q."""
-    x = float(q)
-    return math.nextafter(x, -math.inf) if Fraction(x) > q else x
+_DECIMAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*", re.IGNORECASE)
+
+
+def _exact(text: str) -> tuple[int, int]:
+    """(p, q), q > 0, with p/q exactly the decimal text: '0.12', '-34.6', '5e-324'."""
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid decimal literal: {text!r}")
+    sign, whole, frac, exp = m.groups("")
+    p, shift = int(sign + whole + frac), int(exp or 0) - len(frac)
+    return (p * 10**shift, 1) if shift >= 0 else (p, 10**-shift)
+
+
+def _minus(p: int, q: int, x: float) -> tuple[int, int]:
+    """p/q - x exactly, as a ratio whose denominator is positive (q > 0)."""
+    a, b = x.as_integer_ratio()
+    return p * b - a * q, q * b
+
+
+def _round_down(p: int, q: int) -> float:
+    """The largest double <= p/q, q > 0 (int / int rounds correctly): a margin never claims more room."""
+    x = p / q
+    a, b = x.as_integer_ratio()
+    return math.nextafter(x, -math.inf) if a * q > p * b else x
 
 
 def certified_equal(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> CheckResult:
@@ -71,25 +90,30 @@ def certified_equal(check_id: str, anchor: str, lhs: Interval, rhs: Interval) ->
     diff = lhs - rhs
     dev = max(abs(diff.lo), abs(diff.hi))
     verdict = PASSED if dev <= EQUAL_TOL else FAILED
-    return CheckResult(check_id, anchor, verdict, _round_down(Fraction(EQUAL_TOL) - Fraction(dev)))
+    return CheckResult(check_id, anchor, verdict, _round_down(*_minus(*EQUAL_TOL.as_integer_ratio(), dev)))
+
+
+def _below(check_id: str, anchor: str, lhs: Interval, p: int, q: int) -> CheckResult:
+    """Certify lhs < p/q (q > 0) from exact integer cross-products."""
+    gap = _minus(p, q, lhs.hi)
+    verdict = PASSED if gap[0] > 0 else (UNDECIDED if _minus(p, q, lhs.lo)[0] > 0 else FAILED)
+    return CheckResult(check_id, anchor, verdict, _round_down(*gap))
 
 
 def certified_below_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
     """Certify lhs < threshold where threshold is an exact decimal literal.
 
-    The comparison is done in exact rational arithmetic against the decimal
-    value, so a threshold like 0.12 never suffers binary rounding; the
-    margin is the exact gap rounded down.
+    The comparison is done in exact integer-ratio arithmetic against the
+    decimal value, so a threshold like 0.12 never suffers binary rounding;
+    the margin is the exact gap rounded down.
     """
-    t = Fraction(threshold)
-    hi = Fraction(lhs.hi)
-    verdict = PASSED if hi < t else (UNDECIDED if Fraction(lhs.lo) < t else FAILED)
-    return CheckResult(check_id, anchor, verdict, _round_down(t - hi))
+    return _below(check_id, anchor, lhs, *_exact(threshold))
 
 
 def certified_above_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
     """Certify lhs > threshold, as -lhs < -threshold (same verdict and margin)."""
-    return certified_below_decimal(check_id, anchor, -lhs, str(-Fraction(threshold)))
+    p, q = _exact(threshold)
+    return _below(check_id, anchor, -lhs, -p, q)
 
 
 def analytic_pass(check_id: str, anchor: str) -> CheckResult:

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, fields
 
 from . import __version__
 from .constants import ConstantsRow, c_n
@@ -65,9 +64,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_constants(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= N_MAX - 1:  # row n reads alpha_{n+1}
         raise ConfigError(f"--n must be in [1, {N_MAX - 1}], got {args.n}")
-    lines = [" ".join(fl.name for fl in fields(ConstantsRow))]
-    for n in range(1, args.n + 1):
-        lines.append(" ".join(repr(v) for v in astuple(c_n(n))))
+    lines = [" ".join(ConstantsRow._fields)] + [" ".join(map(repr, c_n(n))) for n in range(1, args.n + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

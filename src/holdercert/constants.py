@@ -18,9 +18,8 @@ are computed and cross-checked on every row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import interval as iv
 from .checks import (
@@ -43,8 +42,7 @@ def i_n_quad(n: int) -> float:
     return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b)
 
 
-@dataclass(frozen=True)
-class ConstantsRow:
+class ConstantsRow(NamedTuple):
     """One row of the constants table."""
 
     n: int
@@ -76,7 +74,8 @@ def c_n(n: int) -> ConstantsRow:
     g = prefactor * (b**5 - a**5) / 10.0
     c_lemma = prefactor * i_closed
     # 1/a - 1/b in floats would cancel away ~eps (a + b)/delta; take it exactly
-    c_chain = (1.0 / math.pi**2) * float(1 / Fraction(a) - 1 / Fraction(b)) ** 2 * i_closed
+    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()  # q/p - s/r, rounded once
+    c_chain = (1.0 / math.pi**2) * ((q * r - s * p) / (p * r)) ** 2 * i_closed
     if abs(c_lemma - c_chain) > 1e-12 * abs(c_lemma):
         raise RuntimeError(
             f"C_{n} dual-route mismatch: {c_lemma!r} vs {c_chain!r}"

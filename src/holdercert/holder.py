@@ -11,7 +11,7 @@ single piece without increasing their distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import interval as iv
 from .checks import (
@@ -74,8 +74,7 @@ def df_iv(x: Interval) -> Interval:
 # -- quotient records ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientRecord:
+class QuotientRecord(NamedTuple):
     """A candidate maximizer of |f(x)-f(y)| / |y-x|^alpha_exp."""
 
     x: float

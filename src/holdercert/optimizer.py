@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .checks import CheckResult, analytic_pass, certified_less
 from .constants import tail_constant_certificate, tail_sqrt_c_bound
@@ -339,8 +338,7 @@ def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float)
     return [quotient(x, y, alpha_exp, provenance="grid") for x, y in pairs]
 
 
-@dataclass(frozen=True)
-class SupremumReport:
+class SupremumReport(NamedTuple):
     """Result of the reduced global search."""
 
     sup_estimate: float

@@ -8,7 +8,7 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .checklist import check_proposition_inequalities
@@ -35,8 +35,7 @@ WIRTINGER_N = 50
 VERIFY_N_MAX = 651
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     tool_version: str
     config: dict
     checks: list[CheckResult]
@@ -95,8 +94,8 @@ def supremum_dict(s: SupremumReport) -> dict:
     return {
         "alpha_exp": s.alpha_exp,
         "sup_estimate": s.sup_estimate,
-        "arg": asdict(s.arg),
-        "per_interval": [{"n": n, "sup": a.q, "arg": asdict(a)} for n, a in s.per_interval],
+        "arg": s.arg._asdict(),
+        "per_interval": [{"n": n, "sup": a.q, "arg": a._asdict()} for n, a in s.per_interval],
         "method_breakdown": s.method_breakdown,
         "bound_certificate": s.bound_certificate,
         "tail_checks": [_check_dict(c) for c in s.tail_checks],
@@ -108,7 +107,7 @@ def report_to_dict(r: VerificationReport) -> dict:
         "tool_version": r.tool_version,
         "config": r.config,
         "checks": [_check_dict(c) for c in r.checks],
-        "constants_table": [asdict(row) for row in r.constants_table],
+        "constants_table": [row._asdict() for row in r.constants_table],
         "summary": r.summary,
     }
 
@@ -153,5 +152,5 @@ def report_to_markdown(r: VerificationReport) -> str:
             "|---|---|---|---|---|---|---|---|---|",
         ]
         for row in r.constants_table:
-            lines.append("| " + " | ".join(repr(v) for v in astuple(row)) + " |")
+            lines.append("| " + " | ".join(repr(v) for v in row) + " |")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ change inside (n pi, n pi + pi/2), where the root is unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 from functools import lru_cache
 
 from . import interval as iv
@@ -56,8 +56,7 @@ def phi_iv(t: Interval) -> Interval:
     return iv.sin(t) - t * iv.cos(t)
 
 
-@dataclass(frozen=True)
-class RootCertificate:
+class RootCertificate(NamedTuple):
     """Certified bracket for alpha_n plus point estimate and angle data."""
 
     n: int

@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -12,8 +11,8 @@ import holdercert.optimizer as opt
 from holdercert.checks import CheckResult
 from holdercert.cli import main
 from holdercert.constants import ConstantsRow
-from holdercert.holder import piece_bounds
-from holdercert.optimizer import global_sup
+from holdercert.holder import QuotientRecord, piece_bounds
+from holdercert.optimizer import SupremumReport, global_sup
 from holdercert.report import (
     VerificationReport,
     report_to_dict,
@@ -21,7 +20,7 @@ from holdercert.report import (
     report_to_markdown,
     run_verification,
 )
-from holdercert.roots import find_alpha
+from holdercert.roots import RootCertificate, find_alpha
 
 
 def _reject_constant(name):
@@ -48,9 +47,9 @@ class TestVerify:
 
     def test_json_is_strict(self, small_report):
         json.loads(report_to_json(small_report), parse_constant=_reject_constant)
-        bad = replace(small_report.checks[0], margin=math.nan)
+        bad = small_report.checks[0]._replace(margin=math.nan)
         with pytest.raises(ValueError):
-            report_to_json(replace(small_report, checks=[bad, *small_report.checks[1:]]))
+            report_to_json(small_report._replace(checks=[bad, *small_report.checks[1:]]))
 
     def test_json_roundtrip_fixpoint(self, small_report):
         text = report_to_json(small_report)
@@ -154,7 +153,7 @@ class TestRoots:
         # the gate is alpha ulp(alpha), twice what binary64 alpha alone leaves
         def loose(n):
             cert = find_alpha(n)
-            return replace(cert, residual=2 * cert.alpha * math.ulp(cert.alpha)) if n == 3 else cert
+            return cert._replace(residual=2 * cert.alpha * math.ulp(cert.alpha)) if n == 3 else cert
 
         monkeypatch.setattr("holdercert.cli.find_alpha", loose)
         assert main(["roots", "--n", "5"]) == 1
@@ -247,7 +246,7 @@ class TestNorm:
         assert data["tail_checks"] == []
 
     def test_non_finite_value_exits_two(self, tmp_path, monkeypatch):
-        rep = replace(global_sup(2, 8.0, 64), sup_estimate=math.inf)
+        rep = global_sup(2, 8.0, 64)._replace(sup_estimate=math.inf)
         monkeypatch.setattr("holdercert.cli.global_sup", lambda **kw: rep)
         out = tmp_path / "norm.json"
         assert main(["norm", "--out", str(out)]) == 2
@@ -394,6 +393,15 @@ assert code == {code!r}, code
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("module", ["holdercert", "holdercert.cli"])
+    def test_no_dataclasses_or_fractions(self, module):
+        # records are named tuples and decimal thresholds are integer ratios
+        proc = _fresh(
+            f"import sys\nimport {module}\n"
+            "sys.exit(sorted({'dataclasses', 'fractions', 'decimal'} & set(sys.modules)) or 0)"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_norm_loads_numpy_when_it_searches(self):
         proc = _fresh(
             "import sys\nfrom holdercert.cli import main\n"
@@ -413,3 +421,34 @@ assert code == {code!r}, code
             "assert optimizer.f is holder.f and optimizer.df is holder.df and optimizer.ddf is holder.ddf"
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestRecords:
+    """The six result records keep their field order and cannot be changed."""
+
+    FIELDS = {
+        CheckResult: ("check_id", "anchor", "verdict", "margin"),
+        RootCertificate: ("n", "bracket", "alpha", "theta", "residual"),
+        ConstantsRow: ("n", "alpha_n", "alpha_np1", "delta", "i_closed", "i_quad", "g", "f_factor", "c"),
+        QuotientRecord: ("x", "y", "alpha_exp", "q", "interval_index", "provenance"),
+        SupremumReport: (
+            "sup_estimate", "arg", "per_interval", "method_breakdown", "bound_certificate", "tail_checks", "alpha_exp"
+        ),
+        VerificationReport: ("tool_version", "config", "checks", "constants_table"),
+    }
+
+    @pytest.fixture(scope="class")
+    def records(self, small_report):
+        sup = global_sup(2, 8.0, 64)
+        return [small_report.checks[0], find_alpha(1), small_report.constants_table[0], sup.arg, sup, small_report]
+
+    def test_field_order(self, records):
+        assert [type(r) for r in records] == list(self.FIELDS)
+        for r in records:
+            assert type(r)._fields == self.FIELDS[type(r)]
+
+    def test_fields_cannot_be_assigned(self, records):
+        for r in records:
+            for name in r._fields:
+                with pytest.raises(AttributeError):
+                    setattr(r, name, getattr(r, name))

@@ -12,6 +12,8 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import holdercert.checks as checks
+import holdercert.constants as constants
 import holdercert.interval as iv
 from holdercert.checks import (
     FAILED,
@@ -328,6 +330,67 @@ class TestDecimalComparators:
     def test_end_at_the_decimal_is_undecided(self):
         assert self.both(Interval(0.0, 0.5), "0.5")[0] == (UNDECIDED, FAILED)
         assert self.both(Interval(0.5, 1.0), "0.5")[0] == (FAILED, UNDECIDED)
+
+
+def _constants_literals(monkeypatch) -> set[str]:
+    """Every threshold text the constants module passes to the decimal comparators."""
+    seen = set()
+    for name in ("certified_below_decimal", "certified_above_decimal"):
+        real = getattr(constants, name)
+
+        def capture(check_id, anchor, lhs, threshold, real=real):
+            seen.add(threshold)
+            return real(check_id, anchor, lhs, threshold)
+
+        monkeypatch.setattr(constants, name, capture)
+    constants.check_constants_suite(3)
+    constants.tail_constant_certificate()
+    return seen
+
+
+def _decimal_outcome(comparator, lhs: Interval, threshold: str) -> tuple[str, str]:
+    r = comparator("id", "anchor", lhs, threshold)
+    return r.verdict, r.margin.hex()
+
+
+class TestExactLiterals:
+    """The integer-ratio parser reads each threshold as Fraction does."""
+
+    # every threshold the constants module passes, then edge cases
+    LITERALS = ["34.6", "84.22", "0.302", "0.00080", "2.259", "2.26", "0.12", "0.00012", "2", "1.83012", "1.83"]
+    EDGES = ["1E+2", "-0.0", "5e-324", "1.7976931348623157e+308", "1e-12", ".5", "5.", "+7", " 0.25 "]
+
+    def test_literals_are_those_of_constants(self, monkeypatch):
+        assert _constants_literals(monkeypatch) == set(self.LITERALS)
+
+    @pytest.mark.parametrize("text", LITERALS + EDGES)
+    def test_exact_value(self, text):
+        p, q = checks._exact(text)
+        assert q > 0 and Fraction(p, q) == Fraction(text)
+
+    @pytest.mark.parametrize("text", LITERALS + EDGES)
+    def test_comparators_match_the_references(self, text):
+        # intervals whose ends are the double nearest the literal, its
+        # neighbours and zero: every verdict, and margins down to one ulp
+        x = float(text)
+        near = (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf), 0.0)
+        ends = sorted({e for e in near if math.isfinite(e)})
+        pairs = ((certified_below_decimal, _below_decimal_ref), (certified_above_decimal, _above_decimal_ref))
+        for i, lo in enumerate(ends):
+            for hi in ends[i:]:
+                lhs = Interval(lo, hi)
+                for got, ref in pairs:
+                    assert _decimal_outcome(got, lhs, text) == _decimal_outcome(ref, lhs, text), (lhs, text)
+
+    @pytest.mark.parametrize(
+        "text", ["0.1.2", "", "1e", ".", "-", "e5", "1e+", "1.5e2.0", "0x10", "inf", "nan", "1..2", "1 .5", "--1"]
+    )
+    def test_malformed_text_raises(self, text):
+        with pytest.raises(ValueError):
+            Fraction(text)
+        for comparator in (certified_below_decimal, certified_above_decimal):
+            with pytest.raises(ValueError):
+                comparator("id", "anchor", Interval(0.0, 1.0), text)
 
 
 class TestEnclosureProperty:
