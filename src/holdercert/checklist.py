@@ -7,7 +7,8 @@ Each item is one comparison expression in a small vocabulary:
     pi, sqrt(e), sin(e), cos(e), numeric literals, + - * / **, unary -
 
 Comparisons: ``a < b``, ``a > b`` (strict, interval-certified), chains
-``a < b < c``, and ``a == b`` meaning certified agreement within 1e-12.
+that are all ``<`` (``a < b < c``) or all ``>``, and a single ``a == b``
+meaning certified agreement within 1e-12; mixed chains are rejected.
 The ``# text`` after each expression is the claim anchor.
 
 The built-in corpus covers every scalar inequality consumed by the
@@ -21,7 +22,7 @@ import ast
 import operator
 
 from . import interval as iv
-from .checks import CheckResult, certified_equal, certified_less, merge_results
+from .checks import CheckResult, certified_chain, certified_equal
 from .holder import df_iv, f_iv
 from .interval import PI, Interval
 from .roots import alpha_interval, theta_interval
@@ -67,20 +68,14 @@ def _evaluate(item_id: str, anchor: str, expression: str) -> CheckResult:
     if not isinstance(node, ast.Compare):
         raise ChecklistError(f"expression must be a comparison: {expression!r}")
     operands = [_eval_node(n) for n in [node.left, *node.comparators]]
-    parts: list[CheckResult] = []
-    for i, (op, lhs, rhs) in enumerate(zip(node.ops, operands, operands[1:])):
-        part_id = f"{item_id}/{i}" if len(node.ops) > 1 else item_id
-        if isinstance(op, ast.Lt):
-            parts.append(certified_less(part_id, anchor, lhs, rhs))
-        elif isinstance(op, ast.Gt):
-            parts.append(certified_less(part_id, anchor, rhs, lhs))
-        elif isinstance(op, ast.Eq):
-            parts.append(certified_equal(part_id, anchor, lhs, rhs))
-        else:
-            raise ChecklistError(f"unsupported comparison in {expression!r}")
-    if len(parts) == 1:
-        return parts[0]
-    return merge_results(item_id, anchor, *parts)
+    ops = {type(op) for op in node.ops}
+    if ops == {ast.Lt}:
+        return certified_chain(item_id, anchor, *operands)
+    if ops == {ast.Gt}:
+        return certified_chain(item_id, anchor, *reversed(operands))
+    if ops == {ast.Eq} and len(operands) == 2:
+        return certified_equal(item_id, anchor, *operands)
+    raise ChecklistError(f"comparison must be all <, all > or a single ==: {expression!r}")
 
 
 BUILTIN_CORPUS = """

@@ -85,28 +85,31 @@ class QuotientRecord(NamedTuple):
     provenance: str
 
 
+def _piece_end(k: int) -> float:
+    """1/alpha_k as a float: every end of every piece J_n is one of these."""
+    return 1.0 / find_alpha(k).alpha
+
+
 def piece_bounds(n: int, x_cap: float) -> tuple[float, float]:
-    """Ends of the piece J_n; the unbounded J_0 is cut at x_cap."""
-    if n == 0:
-        return 1.0 / find_alpha(1).alpha, x_cap
-    return 1.0 / find_alpha(n + 1).alpha, 1.0 / find_alpha(n).alpha
+    """Ends of the piece J_n = [lo, hi); the unbounded J_0 is cut at x_cap."""
+    return _piece_end(n + 1), x_cap if n == 0 else _piece_end(n)
 
 
 def classify_index(x: float) -> int:
-    """Index n of the piece J_n containing x (0 for [1/alpha_1, inf))."""
+    """The n with x in J_n as piece_bounds gives it (0 for x >= 1/alpha_1)."""
     if x <= 0.0:
         raise DomainError(f"classify_index requires x > 0, got {x!r}")
-    if x >= 1.0 / find_alpha(1).alpha:
+    if x >= _piece_end(1):
         return 0
     t = 1.0 / x
     if t > (N_MAX + 1) * math.pi:
         raise DomainError(f"x={x!r} below the certified range (n > {N_MAX})")
     n = max(1, min(int((t - math.pi / 2) / math.pi), N_MAX - 1))
-    while n + 1 <= N_MAX and t > find_alpha(n + 1).alpha:
+    while n < N_MAX and x < _piece_end(n + 1):
         n += 1
-    while n > 1 and t <= find_alpha(n).alpha:
+    while n > 1 and x >= _piece_end(n):
         n -= 1
-    if n + 1 > N_MAX or t > find_alpha(n + 1).alpha:
+    if n == N_MAX:
         raise DomainError(f"x={x!r} below the certified range (n > {N_MAX})")
     return n
 
@@ -157,8 +160,7 @@ def wirtinger_for_interval(n: int) -> CheckResult:
     """
     import numpy as np
 
-    a = 1.0 / find_alpha(n + 1).alpha
-    b = 1.0 / find_alpha(n).alpha
+    a, b = piece_bounds(n, math.inf)
 
     def g_sq(t):
         u = 1.0 / t

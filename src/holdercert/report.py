@@ -21,7 +21,7 @@ from .holder import (
     wirtinger_equality_case,
     wirtinger_for_interval,
 )
-from .optimizer import SupremumReport
+from .optimizer import ConfigError, SupremumReport
 from .roots import (
     check_cubic_overshoot,
     check_theta_gap,
@@ -55,7 +55,9 @@ class VerificationReport(NamedTuple):
 
 
 def run_verification(n_max: int = 200) -> VerificationReport:
-    """Run the full inequality campaign up to index n_max."""
+    """Run the full inequality campaign up to index n_max, in [1, VERIFY_N_MAX]."""
+    if not 1 <= n_max <= VERIFY_N_MAX:
+        raise ConfigError(f"n_max must be in [1, {VERIFY_N_MAX}], got {n_max}")
     checks: list[CheckResult] = []
     for n in range(1, n_max + 1):
         checks.extend(check_theta_upper_bounds(n))

@@ -90,6 +90,10 @@ class TestEvaluator:
         assert r.verdict == PASSED
         # margin is the weakest link: f'(0.7/pi) = 0.02375
         assert r.margin == pytest.approx(0.02375, rel=1e-3)
+        r = self.run("2 > 1 > 0")  # an all-> chain reads right to left
+        assert r.verdict == PASSED
+        assert r.margin == pytest.approx(1.0)  # both links are 1, outward rounded
+        assert self.run("3 > 1 > 2").verdict == FAILED
 
     def test_funcs_and_powers(self):
         assert self.run("sqrt(2)**2 == 2").verdict == PASSED
@@ -112,6 +116,9 @@ class TestEvaluator:
             "alpha(n) < 1",
             "1 % 2 < 1",
             "1 // 2 < 1",
+            "1 < 2 > 0",  # chains are all < or all >
+            "1 == 1 == 1",  # == compares two operands
+            "0 < 1 == 1",
         ],
     )
     def test_rejects_bad_syntax(self, expr):

@@ -12,7 +12,7 @@ from holdercert.checks import CheckResult
 from holdercert.cli import main
 from holdercert.constants import ConstantsRow
 from holdercert.holder import QuotientRecord, piece_bounds
-from holdercert.optimizer import SupremumReport, global_sup
+from holdercert.optimizer import ConfigError, SupremumReport, global_sup
 from holdercert.report import (
     VerificationReport,
     report_to_dict,
@@ -110,12 +110,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("n_max", ["0", "-3", "652", "10000", "10001"])
     def test_n_max_out_of_range_exit_two(self, n_max, monkeypatch, capsys):
-        def fail(n_max):
-            raise AssertionError("verification ran for an out-of-range --n-max")
+        def fail(n):
+            raise AssertionError("a check ran for an out-of-range --n-max")
 
-        monkeypatch.setattr("holdercert.cli.run_verification", fail)
+        monkeypatch.setattr("holdercert.report.check_theta_upper_bounds", fail)
         assert main(["verify", "--n-max", n_max]) == 2
-        assert "--n-max" in capsys.readouterr().err
+        assert "n_max must be in [1, 651]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", [0, 652])
+    def test_run_verification_rejects_undecided_range(self, n_max):
+        # the library call owns the decided range: it fails loudly, not undecided
+        with pytest.raises(ConfigError, match="n_max"):
+            run_verification(n_max)
 
     def test_n_max_upper_limit_accepted(self, monkeypatch, tmp_path):
         seen = []
@@ -390,6 +396,14 @@ assert code == {code!r}, code
             "import sys\nimport holdercert\nfrom holdercert.cli import main\n"
             + run
             + "sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_loads_no_submodule(self):
+        # the package root holds only the version: each module loads where it is used
+        proc = _fresh(
+            "import sys, holdercert\n"
+            "sys.exit(sorted(k for k in sys.modules if k.startswith('holdercert.')) or 0)"
         )
         assert proc.returncode == 0, proc.stderr
 

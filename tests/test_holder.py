@@ -19,6 +19,7 @@ from holdercert.holder import (
     df_iv,
     f,
     f_iv,
+    piece_bounds,
     quotient,
     wirtinger_equality_case,
     wirtinger_for_interval,
@@ -113,6 +114,16 @@ class TestQuotient:
         assert classify_index(5.0) == 0
         rec = quotient(0.5 * (1.0 / a1 + 1.0 / a2), 5.0)
         assert rec.interval_index == -1
+
+    def test_membership_matches_piece_bounds(self):
+        # J_n = [lo, hi) exactly as piece_bounds gives it, at both float ends
+        wrong = []
+        for n in [*range(1, 2001), 9998]:
+            lo, hi = piece_bounds(n, 8.0)
+            got = classify_index(lo), classify_index(math.nextafter(hi, 0.0)), classify_index(hi)
+            if got != (n, n, n - 1):
+                wrong.append((n, got))
+        assert wrong == []
 
     def test_validation(self):
         with pytest.raises(DomainError):
