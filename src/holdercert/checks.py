@@ -5,6 +5,10 @@ inequality ``a < b`` the difference must be proved positive from endpoint
 information alone.  An enclosure that merely straddles zero is reported
 as undecided, never as a pass.
 
+``certified_positive`` is the one interval verdict: a reported claim made
+of several inequalities (a chain, Lemmas 1.2 and 1.3, the nesting step)
+passes all its differences to one call, so each report row is one result.
+
 ``subdivide`` is the one adaptive-bisection engine, and ``prove_boxes``
 the one verdict built on it: every box proof goes through it.
 """
@@ -42,10 +46,13 @@ class CheckResult(NamedTuple):
         return self.verdict == PASSED
 
 
-def certified_positive(check_id: str, anchor: str, x: Interval) -> CheckResult:
-    """Certify x > 0: passed iff x.lo > 0, failed iff x.hi <= 0; margin = x.lo."""
-    verdict = PASSED if x.lo > 0.0 else (FAILED if x.hi <= 0.0 else UNDECIDED)
-    return CheckResult(check_id, anchor, verdict, x.lo)
+def certified_positive(check_id: str, anchor: str, x: Interval, *more: Interval) -> CheckResult:
+    """Certify every term > 0: passed iff the least lo is > 0, failed iff some
+    term has hi <= 0, otherwise undecided; margin = the least lo."""
+    terms = (x, *more)
+    margin = min(t.lo for t in terms)
+    verdict = PASSED if margin > 0.0 else (FAILED if any(t.hi <= 0.0 for t in terms) else UNDECIDED)
+    return CheckResult(check_id, anchor, verdict, margin)
 
 
 def certified_less(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> CheckResult:
@@ -55,8 +62,7 @@ def certified_less(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> 
 
 def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult:
     """Certify terms[0] < terms[1] < ... < terms[-1]; margin = weakest link."""
-    links = (certified_less(check_id, anchor, a, b) for a, b in zip(terms, terms[1:]))
-    return merge_results(check_id, anchor, *links)
+    return certified_positive(check_id, anchor, *(b - a for a, b in zip(terms, terms[1:])))
 
 
 _DECIMAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*", re.IGNORECASE)
@@ -122,7 +128,7 @@ def analytic_pass(check_id: str, anchor: str) -> CheckResult:
 
 
 def merge_results(check_id: str, anchor: str, *results: CheckResult) -> CheckResult:
-    """Combine sub-checks: worst verdict wins, margin is the weakest."""
+    """Combine evidence of different kinds: worst verdict wins, margin is the weakest."""
     verdict = PASSED
     for r in results:
         if r.verdict == FAILED:

@@ -223,18 +223,14 @@ def check_envelope() -> list[CheckResult]:
         rhs = iv.sqrt((Interval.point(box.lo) - inv_pi) * 2)
         return (rhs - f_iv(box)).lo
 
+    regime1 = "P2.3/regime1", "Prop 2.3, (2.10) on [1/pi, 1/pi + 2/pi^2] (mean-value regime + boxes)"
     return [
+        # the mean-value strip (pi^2 * width < 2, and f(1/pi) = sin(pi)/pi = 0 exactly), then boxes
         merge_results(
-            "P2.3/regime1",
-            "Prop 2.3, (2.10) on [1/pi, 1/pi + 2/pi^2] (mean-value regime + boxes)",
-            certified_less(
-                "P2.3/strip-scalar",
-                "Prop 2.3, (2.10) left strip: pi^2 * strip_width < 2 (mean-value regime)",
-                PI**2 * (Interval.point(strip_end) - inv_pi),
-                Interval.point(2.0),
-            ),
-            analytic_pass("P2.3/strip-identity", "f(1/pi) = sin(pi)/pi = 0 exactly"),
-            prove_boxes("P2.3/regime1-boxes", "boxes", envelope_margin, [Interval(strip_end, e1)]),
+            *regime1,
+            certified_less(*regime1, PI**2 * (Interval.point(strip_end) - inv_pi), Interval.point(2.0)),
+            analytic_pass(*regime1),
+            prove_boxes(*regime1, envelope_margin, [Interval(strip_end, e1)]),
         ),
         prove_boxes(
             "P2.3/regime2",
@@ -267,32 +263,29 @@ def check_nesting(n_count: int) -> list[CheckResult]:
     signs f(1/alpha_n) = (-1)^n sin theta_n; this is the checkable core of
     the image nesting f(J_0) > f(J_1) > ...
     """
-    results: list[CheckResult] = []
 
-    def sign_check(n: int) -> CheckResult:
+    def signed_image(n: int) -> Interval:
+        """(-1)^n f(1/alpha_n): positive iff f(1/alpha_n) has sign (-1)^n."""
         img = f_iv(1 / alpha_interval(n))
-        return certified_positive(
-            f"T2.4/sign[n={n}]",
-            f"Thm 2.4 proof: f(1/alpha_n) has sign (-1)^n [n={n}]",
-            img if n % 2 == 0 else -img,
-        )
+        return img if n % 2 == 0 else -img
 
+    results: list[CheckResult] = []
     sin_next = iv.sin(theta_interval(1))
     for n in range(1, n_count):
         sin_n, sin_next = sin_next, iv.sin(theta_interval(n + 1))  # each sin theta_n enclosed once
-        contraction = certified_less(
-            f"T2.4/contract[n={n}]",
-            f"Thm 2.4 proof, (2.16): sin theta_{{n+1}} < sin theta_n [n={n}]",
-            sin_next,
-            sin_n,
-        )
         results.append(
-            merge_results(
+            certified_positive(
                 f"T2.4/nesting[n={n}]",
                 f"Thm 2.4, (2.16): image of J_{{n}} contains image of J_{{n+1}} [n={n}]",
-                contraction,
-                sign_check(n),
+                sin_n - sin_next,
+                signed_image(n),
             )
         )
-    results.append(sign_check(n_count))
+    results.append(
+        certified_positive(
+            f"T2.4/sign[n={n_count}]",
+            f"Thm 2.4 proof: f(1/alpha_n) has sign (-1)^n [n={n_count}]",
+            signed_image(n_count),
+        )
+    )
     return results

@@ -27,7 +27,6 @@ from .checks import (
     certified_chain,
     certified_less,
     certified_positive,
-    merge_results,
     prove_boxes,
 )
 from .interval import HALF_PI, PI, Interval
@@ -169,25 +168,13 @@ def check_theta_lower_bounds(n: int) -> CheckResult:
     (1.4-5): theta_n > arcsin(1/(n pi + pi/2))."""
     th = theta_interval(n)
     inv_c = 1 / _half_odd_pi(n)
-    chain = certified_chain(
-        f"L1.2/chain[n={n}]",
-        f"Lemma 1.2: 1/(n pi + pi/2) < sin theta_n < theta_n [n={n}]",
-        inv_c,
-        iv.sin(th),
-        th,
-    )
-    eta = iv.asin(inv_c)
-    sharper = certified_less(
-        f"L1.2/eq1.4-5[n={n}]",
-        f"Lemma 1.2, (1.4-5): arcsin(1/(n pi + pi/2)) < theta_n [n={n}]",
-        eta,
-        th,
-    )
-    return merge_results(
+    sin_th = iv.sin(th)
+    return certified_positive(
         f"L1.2[n={n}]",
         f"Lemma 1.2 incl. (1.4-5): theta_n > sin theta_n > 1/(n pi + pi/2) [n={n}]",
-        chain,
-        sharper,
+        sin_th - inv_c,
+        th - sin_th,
+        th - iv.asin(inv_c),
     )
 
 
@@ -205,22 +192,11 @@ def check_theta_gap(n: int) -> CheckResult:
     bn1 = alpha_interval(n + 1)
     product = bn * bn1
     gap = iv.atan((bn1 - bn) / (1 + product))
-    positive = certified_positive(
-        f"L1.3/lower[n={n}]",
-        f"Lemma 1.3, (1.5): 0 < theta_n - theta_{{n+1}} [n={n}]",
-        gap,
-    )
-    upper = certified_less(
-        f"L1.3/upper[n={n}]",
-        f"Lemma 1.3, (1.5): theta_n - theta_{{n+1}} < pi/(alpha_n alpha_{{n+1}}) [n={n}]",
-        gap,
-        PI / product,
-    )
-    return merge_results(
+    return certified_positive(
         f"L1.3[n={n}]",
         f"Lemma 1.3, (1.5): 0 < theta_n - theta_{{n+1}} < pi/(alpha_n alpha_{{n+1}}) [n={n}]",
-        positive,
-        upper,
+        gap,
+        PI / product - gap,
     )
 
 

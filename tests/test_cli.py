@@ -123,6 +123,22 @@ class TestVerify:
         with pytest.raises(ConfigError, match="n_max"):
             run_verification(n_max)
 
+    def test_every_result_built_is_reported(self, monkeypatch):
+        # one verdict per reported check: no sub-check under an id no report shows
+        built = []
+        new = CheckResult.__new__
+
+        def recording(cls, *args):
+            built.append(new(cls, *args))
+            return built[-1]
+
+        monkeypatch.setattr(CheckResult, "__new__", recording)
+        report = run_verification(20)
+        shown = {c.check_id for c in report.checks}
+        assert [r.check_id for r in built if r.check_id not in shown] == []
+        # the rows, plus the three kinds of evidence merged into P2.3/regime1
+        assert len(built) == len(report.checks) + 3
+
     def test_n_max_upper_limit_accepted(self, monkeypatch, tmp_path):
         seen = []
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from holdercert import interval
-from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_less, prove_boxes, subdivide
+from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_less, certified_positive, prove_boxes, subdivide
 from holdercert.holder import (
     ENVELOPE_X_MAX,
     check_envelope,
@@ -26,7 +26,13 @@ from holdercert.holder import (
 )
 from holdercert.interval import ARGUMENT_BUDGET, PI, ArgumentTooLarge, DomainError, Interval
 from holdercert.quadrature import composite_simpson
-from holdercert.roots import find_alpha
+from holdercert.roots import (
+    alpha_interval,
+    check_theta_gap,
+    check_theta_lower_bounds,
+    find_alpha,
+    theta_interval,
+)
 from oracles import ddf_iv, remap
 
 SQRT2 = math.sqrt(2.0)
@@ -224,7 +230,7 @@ class TestEnvelope:
         results, regime_calls = self._start_and_leaves(monkeypatch, ENVELOPE_X_MAX)
         assert all(r.verdict == PASSED for r in results)
         [(check_id, lhs)] = certified
-        assert check_id == "P2.3/strip-scalar"
+        assert check_id == "P2.3/regime1"
         first_box = regime_calls[0][0][0]
         pi_lo = Fraction(PI.lo)  # pi >= pi_lo, so pi^2 (lo - 1/pi) >= this
         width = pi_lo**2 * (Fraction(first_box.lo) - 1 / pi_lo)
@@ -375,6 +381,41 @@ class TestNesting:
         img = f_iv(1 / find_alpha(1).bracket)
         assert img.hi < 0
         assert img.lo <= -math.sin(find_alpha(1).theta) <= img.hi
+
+
+class TestOneVerdictPerCheck:
+    """Each check made of several inequalities passes all its differences
+    to one certified_positive call; a dropped term would keep every byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 651])
+    def test_terms_are_the_differences(self, monkeypatch, n):
+        calls = {}
+
+        def recording(check_id, anchor, *terms):
+            calls[check_id] = terms
+            return certified_positive(check_id, anchor, *terms)
+
+        for module in ("roots", "holder"):
+            monkeypatch.setattr(f"holdercert.{module}.certified_positive", recording)
+        check_theta_lower_bounds(n)
+        check_theta_gap(n)
+        check_nesting(n + 1)
+
+        def signed_image(k):
+            img = f_iv(1 / alpha_interval(k))
+            return img if k % 2 == 0 else -img
+
+        th, sin_th = theta_interval(n), interval.sin(theta_interval(n))
+        inv_c = 1 / ((Interval.point(2 * n + 1) * PI) / 2)
+        product = alpha_interval(n) * alpha_interval(n + 1)
+        gap = interval.atan((alpha_interval(n + 1) - alpha_interval(n)) / (1 + product))
+        expected = {
+            f"L1.2[n={n}]": (sin_th - inv_c, th - sin_th, th - interval.asin(inv_c)),
+            f"L1.3[n={n}]": (gap, PI / product - gap),
+            f"T2.4/nesting[n={n}]": (sin_th - interval.sin(theta_interval(n + 1)), signed_image(n)),
+            f"T2.4/sign[n={n + 1}]": (signed_image(n + 1),),
+        }
+        assert {k: calls[k] for k in expected} == expected
 
 
 class TestRemap:

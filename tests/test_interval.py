@@ -212,11 +212,11 @@ class TestElementary:
 
 
 class TestCertification:
-    """certified_positive reads the sign of x from its endpoints alone."""
+    """certified_positive reads the sign of each term from its endpoints alone."""
 
     @staticmethod
-    def sign(x: Interval):
-        r = certified_positive("sign", "x > 0", x)
+    def sign(*terms: Interval):
+        r = certified_positive("sign", "every term > 0", *terms)
         return r.verdict, r.margin
 
     def test_positive(self):
@@ -228,6 +228,22 @@ class TestCertification:
 
     def test_undecided(self):
         assert self.sign(Interval(-0.1, 0.1)) == (UNDECIDED, -0.1)
+
+    def test_all_terms_positive(self):
+        # the margin is the least lo, not the first term's
+        assert self.sign(Interval(0.3, 0.4), Interval(0.1, 0.2), Interval(0.2, 0.5)) == (PASSED, 0.1)
+
+    def test_one_straddling_term(self):
+        assert self.sign(Interval(0.1, 0.2), Interval(-0.05, 0.1)) == (UNDECIDED, -0.05)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_nonpositive_term_beats_straddling_one(self, step):
+        terms = (Interval(-0.1, 0.1), Interval(-0.5, -0.2))[::step]
+        assert self.sign(Interval(1.0, 2.0), *terms) == (FAILED, -0.5)
+
+    def test_no_term_is_no_pass(self):
+        with pytest.raises(TypeError):
+            certified_positive("sign", "every term > 0")
 
 
 # -- the two comparator bodies before "above" became "below" of the negation -----
