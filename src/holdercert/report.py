@@ -143,8 +143,9 @@ def report_to_markdown(r: VerificationReport) -> str:
         "| id | verdict | margin | anchor |",
         "|---|---|---|---|",
     ]
-    for c in r.checks:
-        lines.append(f"| {c.check_id} | {c.verdict} | {c.margin!r} | {c.anchor} |")
+    for c in r.checks:  # a | inside a cell is escaped, or it would end the cell
+        cells = (c.check_id, c.verdict, repr(c.margin), c.anchor)
+        lines.append("| " + " | ".join(cell.replace("|", r"\|") for cell in cells) + " |")
     if r.constants_table:
         lines += [
             "",

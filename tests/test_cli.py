@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, serialization contracts."""
 
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -76,6 +78,26 @@ class TestVerify:
         code = main(["verify", "--n-max", "2", "--format", "md", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("# holdercert")
+
+    def test_markdown_cells_escape_pipes(self, tmp_path):
+        out = tmp_path / "report.md"
+        assert main(["verify", "--n-max", "200", "--format", "md", "--out", str(out)]) == 0
+        text = out.read_text()
+        width = None  # cells of the current table's header
+        for line in text.splitlines():
+            if not line.startswith("|"):
+                width = None
+                continue
+            cells = len(re.split(r"(?<!\\)\|", line))
+            width = width or cells
+            assert cells == width, line
+        escaped = [line.split(" | ")[0] for line in text.splitlines() if "\\|" in line]
+        assert escaped == [f"| prop-ineq/{i:02d}" for i in (0, 1, 3, 4, 5, 7)]
+        # the only change from the report before cells were escaped
+        unescaped = text.replace("\\|", "|").encode()
+        assert hashlib.sha256(unescaped).hexdigest() == (
+            "cee3de15e0574247ca6b3cd26da931f6cbe1179d972ea2ee069c4f2b5c41638c"
+        )
 
     def test_determinism_small(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -22,9 +22,12 @@ from holdercert.checks import (
     CheckResult,
     certified_above_decimal,
     certified_below_decimal,
+    certified_chain,
     certified_equal,
     certified_positive,
 )
+from holdercert.checklist import _decimal
+from holdercert.holder import df_iv
 from holdercert.interval import (
     PI,
     ArgumentTooLarge,
@@ -212,7 +215,8 @@ class TestElementary:
 
 
 class TestCertification:
-    """certified_positive reads the sign of each term from its endpoints alone."""
+    """certified_positive reads the sign of each term from its endpoints alone;
+    certified_chain and certified_equal are the comparison builders."""
 
     @staticmethod
     def sign(*terms: Interval):
@@ -244,6 +248,26 @@ class TestCertification:
     def test_no_term_is_no_pass(self):
         with pytest.raises(TypeError):
             certified_positive("sign", "every term > 0")
+
+    def test_chain_margin_is_weakest_link(self):
+        r = certified_chain("chain", "0 < f'(0.7/pi) < 1", 0, df_iv(_decimal(0.7) / PI), 1)
+        assert r.verdict == PASSED
+        assert r.margin == pytest.approx(0.02375, rel=1e-3)  # f'(0.7/pi) = 0.02375
+        r = certified_chain("chain", "0 < 1 < 2", *(Interval.point(k) for k in (0, 1, 2)))
+        assert r.verdict == PASSED
+        assert r.margin == pytest.approx(1.0)  # both links are 1, outward rounded
+
+    def test_chain_with_a_wrong_link_fails(self):
+        assert certified_chain("chain", "2 < 1 < 3", *(Interval.point(k) for k in (2, 1, 3))).verdict == FAILED
+
+    def test_strictness(self):
+        # equal endpoints never certify a strict inequality
+        assert certified_chain("chain", "1 < 1", Interval.point(1), Interval.point(1)).verdict != PASSED
+
+    def test_equality_tolerance(self):
+        slope = df_iv(2 / PI)
+        assert certified_equal("eq", "f'(2/pi) = 1", slope, 1).verdict == PASSED
+        assert certified_equal("eq", "f'(2/pi) = 1.001", slope, _decimal(1.001)).verdict == FAILED
 
 
 # -- the two comparator bodies before "above" became "below" of the negation -----
