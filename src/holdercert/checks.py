@@ -8,6 +8,9 @@ as undecided, never as a pass.
 ``certified_positive`` is the one interval verdict: a reported claim made
 of several inequalities (a chain, Lemmas 1.2 and 1.3, the nesting step)
 passes all its differences to one call, so each report row is one result.
+A decimal of the proof enters a comparison as its enclosure
+``interval.decimal``; only the margin of an ``==`` agreement is computed on
+exact integer ratios.
 
 ``subdivide`` is the one adaptive-bisection engine, and ``prove_boxes``
 the one verdict built on it: every box proof goes through it.
@@ -16,7 +19,6 @@ the one verdict built on it: every box proof goes through it.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
@@ -65,19 +67,6 @@ def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult
     return certified_positive(check_id, anchor, *(b - a for a, b in zip(terms, terms[1:])))
 
 
-_DECIMAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*", re.IGNORECASE)
-
-
-def _exact(text: str) -> tuple[int, int]:
-    """(p, q), q > 0, with p/q exactly the decimal text: '0.12', '-34.6', '5e-324'."""
-    m = _DECIMAL.fullmatch(text)
-    if m is None:
-        raise ValueError(f"invalid decimal literal: {text!r}")
-    sign, whole, frac, exp = m.groups("")
-    p, shift = int(sign + whole + frac), int(exp or 0) - len(frac)
-    return (p * 10**shift, 1) if shift >= 0 else (p, 10**-shift)
-
-
 def _minus(p: int, q: int, x: float) -> tuple[int, int]:
     """p/q - x exactly, as a ratio whose denominator is positive (q > 0)."""
     a, b = x.as_integer_ratio()
@@ -92,34 +81,14 @@ def _round_down(p: int, q: int) -> float:
 
 
 def certified_equal(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> CheckResult:
-    """Certify |lhs - rhs| <= EQUAL_TOL from the enclosure of the difference."""
+    """Certify |lhs - rhs| <= EQUAL_TOL from the enclosure of the difference:
+    failed only if the whole difference lies outside the band, undecided if it
+    straddles an edge; margin = EQUAL_TOL - max |diff|, exactly, rounded down."""
     diff = lhs - rhs
     dev = max(abs(diff.lo), abs(diff.hi))
-    verdict = PASSED if dev <= EQUAL_TOL else FAILED
+    outside = diff.lo > EQUAL_TOL or diff.hi < -EQUAL_TOL
+    verdict = PASSED if dev <= EQUAL_TOL else (FAILED if outside else UNDECIDED)
     return CheckResult(check_id, anchor, verdict, _round_down(*_minus(*EQUAL_TOL.as_integer_ratio(), dev)))
-
-
-def _below(check_id: str, anchor: str, lhs: Interval, p: int, q: int) -> CheckResult:
-    """Certify lhs < p/q (q > 0) from exact integer cross-products."""
-    gap = _minus(p, q, lhs.hi)
-    verdict = PASSED if gap[0] > 0 else (UNDECIDED if _minus(p, q, lhs.lo)[0] > 0 else FAILED)
-    return CheckResult(check_id, anchor, verdict, _round_down(*gap))
-
-
-def certified_below_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
-    """Certify lhs < threshold where threshold is an exact decimal literal.
-
-    The comparison is done in exact integer-ratio arithmetic against the
-    decimal value, so a threshold like 0.12 never suffers binary rounding;
-    the margin is the exact gap rounded down.
-    """
-    return _below(check_id, anchor, lhs, *_exact(threshold))
-
-
-def certified_above_decimal(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
-    """Certify lhs > threshold, as -lhs < -threshold (same verdict and margin)."""
-    p, q = _exact(threshold)
-    return _below(check_id, anchor, -lhs, -p, q)
 
 
 def analytic_pass(check_id: str, anchor: str) -> CheckResult:

@@ -22,13 +22,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import interval as iv
-from .checks import (
-    CheckResult,
-    analytic_pass,
-    certified_above_decimal,
-    certified_below_decimal,
-)
-from .interval import PI, Interval
+from .checks import CheckResult, analytic_pass, certified_less
+from .interval import PI, Interval, decimal
 from .quadrature import composite_simpson
 from .roots import alpha_interval, find_alpha
 
@@ -109,20 +104,21 @@ def _c_parts_iv(n: int) -> tuple[Interval, Interval, Interval, Interval]:
     return delta**2 / product, correction, g, g + correction
 
 
-# (id, anchor, index into _c_parts_iv, decimal) per row kind, formatted with n
+# (id, anchor, index into _c_parts_iv, bound) per row kind, formatted with n;
+# the decimal bounds are built at import, which certifies nothing
 _LATER_ROWS = (
-    ("L1.4/ratio[n={n}]", "Lemma 1.4 proof: delta_n^2/(alpha_n alpha_n+1) < 0.12 [n={n}]", 0, "0.12"),
-    ("L1.4/corr[n={n}]", "Lemma 1.4 proof: correction term < 0.00012 [n={n}]", 1, "0.00012"),
-    ("L1.4/C[n={n}]", "Lemma 1.4: C_n < 2 [n={n}]", 3, "2"),
+    ("L1.4/ratio[n={n}]", "Lemma 1.4 proof: delta_n^2/(alpha_n alpha_n+1) < 0.12 [n={n}]", 0, decimal(0.12)),
+    ("L1.4/corr[n={n}]", "Lemma 1.4 proof: correction term < 0.00012 [n={n}]", 1, decimal(0.00012)),
+    ("L1.4/C[n={n}]", "Lemma 1.4: C_n < 2 [n={n}]", 3, 2),
 )
 _SUITE_ROWS = {
     1: (
-        ("L1.4/ratio[n=1]", "Lemma 1.4 proof: delta_1^2/(alpha_1 alpha_2) < 0.302", 0, "0.302"),
-        ("L1.4/corr[n=1]", "Lemma 1.4 proof: correction term < 0.00080 (n=1)", 1, "0.00080"),
-        ("L1.4/G1", "Lemma 1.4 proof: G_1 < 2.259", 2, "2.259"),
-        ("L1.4/C1", "Lemma 1.4: C_1 < 2.26", 3, "2.26"),
+        ("L1.4/ratio[n=1]", "Lemma 1.4 proof: delta_1^2/(alpha_1 alpha_2) < 0.302", 0, decimal(0.302)),
+        ("L1.4/corr[n=1]", "Lemma 1.4 proof: correction term < 0.00080 (n=1)", 1, decimal(0.00080)),
+        ("L1.4/G1", "Lemma 1.4 proof: G_1 < 2.259", 2, decimal(2.259)),
+        ("L1.4/C1", "Lemma 1.4: C_1 < 2.26", 3, decimal(2.26)),
     ),
-    2: _LATER_ROWS + (("L1.4/C2", "Lemma 1.4 proof assembly: C_2 < 1.83012", 3, "1.83012"),),
+    2: _LATER_ROWS + (("L1.4/C2", "Lemma 1.4 proof assembly: C_2 < 1.83012", 3, decimal(1.83012)),),
 }
 
 
@@ -131,19 +127,19 @@ def check_constants_suite(n_max: int) -> list[CheckResult]:
 
     Product lower bounds, the delta^2/(alpha alpha') caps, the correction
     caps, and C_1 < 2.26, C_2 < 1.83012, C_n < 2 -- all from interval
-    endpoints against exact decimal thresholds.
+    endpoints, each decimal bound taken as its enclosure ``decimal``.
     """
     p12 = alpha_interval(1) * alpha_interval(2)
     p23 = alpha_interval(2) * alpha_interval(3)
     results = [
-        certified_above_decimal("L1.4/a1a2", "Lemma 1.4 proof: alpha_1 alpha_2 > 34.6", p12, "34.6"),
-        certified_above_decimal("L1.4/a2a3", "Lemma 1.4 proof: alpha_2 alpha_3 > 84.22", p23, "84.22"),
+        certified_less("L1.4/a1a2", "Lemma 1.4 proof: alpha_1 alpha_2 > 34.6", decimal(34.6), p12),
+        certified_less("L1.4/a2a3", "Lemma 1.4 proof: alpha_2 alpha_3 > 84.22", decimal(84.22), p23),
     ]
     for n in range(1, n_max + 1):
         parts = _c_parts_iv(n)
         results += [
-            certified_below_decimal(check_id.format(n=n), anchor.format(n=n), parts[part], decimal)
-            for check_id, anchor, part, decimal in _SUITE_ROWS.get(n, _LATER_ROWS)
+            certified_less(check_id.format(n=n), anchor.format(n=n), parts[part], bound)
+            for check_id, anchor, part, bound in _SUITE_ROWS.get(n, _LATER_ROWS)
         ]
     return results
 
@@ -157,54 +153,50 @@ def tail_constant_certificate() -> list[CheckResult]:
     12 pi^2 > 84.22), hence delta_n < pi (1 + 1/84.22) by the gap lemma,
     and the G and correction caps follow by monotone substitution.
     """
-    p = Interval.point(84.22)
+    p, r = decimal(84.22), decimal(0.12)
+    g_cap, corr_cap = decimal(1.83), decimal(0.00012)
     one_over_p = 1 / p
-    # 0.12 enters tail/G as an upper bound and the double 0.12 lies below it
-    r = Interval(0.12, iv._up(0.12))
-    results = [
-        certified_above_decimal(
+    return [
+        certified_less(
             "tail/12pi2",
             "Tail: alpha_n alpha_{n+1} >= 12 pi^2 > 84.22 for n >= 3 (alpha_n > n pi)",
+            p,
             12 * PI**2,
-            "84.22",
         ),
         analytic_pass(
             "tail/delta",
             "Tail: delta_n < pi (1 + 1/84.22) for n >= 2, by Lemma 1.3 with the product bound",
         ),
-        certified_below_decimal(
+        certified_less(
             "tail/ratio",
             "Tail: pi^2 (1 + 1/84.22)^2 / 84.22 < 0.12",
             PI**2 * (1 + one_over_p) ** 2 / p,
-            "0.12",
+            r,
         ),
-        certified_below_decimal(
+        certified_less(
             "tail/G",
             "Tail: (pi/2)(1 + 1/84.22)^3 (1 + 0.12 + 0.12^2/5) < 1.83",
-            (PI / 2)
-            * (1 + one_over_p) ** 3
-            * (1 + r + r**2 / 5),
-            "1.83",
+            (PI / 2) * (1 + one_over_p) ** 3 * (1 + r + r**2 / 5),
+            g_cap,
         ),
-        certified_below_decimal(
+        certified_less(
             "tail/corr",
             "Tail: (pi/4)(1/84.22^2)(1 + 1/84.22)^2 (1 + 2/84.22) < 0.00012",
             (PI / 4) / p**2 * (1 + one_over_p) ** 2 * (1 + 2 * one_over_p),
-            "0.00012",
+            corr_cap,
         ),
-        certified_below_decimal(
+        certified_less(
             "tail/C",
             "Tail: C_n < 1.83 + 0.00012 = 1.83012 < 2 for every n >= 2",
-            Interval.point(1.83) + Interval.point(0.00012),
-            "2",
+            g_cap + corr_cap,
+            2,
         ),
     ]
-    return results
 
 
-TAIL_C_BOUND = 1.83012
+TAIL_C_BOUND = decimal(1.83012)
 
 
 def tail_sqrt_c_bound() -> float:
-    """sqrt of the uniform tail bound on C_n, n >= 2 (rounded up)."""
-    return iv.sqrt(Interval.point(TAIL_C_BOUND)).hi
+    """An upper bound on sqrt(1.83012), the uniform tail bound on sqrt(C_n), n >= 2."""
+    return iv.sqrt(TAIL_C_BOUND).hi

@@ -181,6 +181,12 @@ PI = Interval(math.pi, math.nextafter(math.pi, _INF))
 HALF_PI = PI / 2
 
 
+def decimal(v: float) -> Interval:
+    """The decimal v of the proof (34.6, 0.12, ...): it lies within half an ulp
+    of its nearest double v, so the doubles either side of v enclose it."""
+    return Interval(_down(v), _up(v))
+
+
 # -- elementary functions ----------------------------------------------------
 
 

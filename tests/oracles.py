@@ -8,12 +8,17 @@ command runs.  The test modules import them as ``from oracles import ...``
 - ``interval_sup``: the per-piece search for one piece J_n, n >= 1;
 - ``brute_grid_oracle``: the exhaustive grid maximum of the quotient;
 - ``spot_check_max``: the quotient maximum over seeded random pairs;
-- ``simpson_from_scratch``: composite Simpson with every level built anew.
+- ``simpson_from_scratch``: composite Simpson with every level built anew;
+- ``decimal_literals``: the decimal texts of a module's float literals, each
+  read exactly (``Fraction``) and found inside its ``decimal`` enclosure.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from holdercert.holder import (
     piece_bounds,
     quotient,
 )
-from holdercert.interval import DomainError, Interval
+from holdercert.interval import DomainError, Interval, decimal
 from holdercert.optimizer import ConfigError, _piece_sups
 from holdercert.roots import find_alpha
 
@@ -206,3 +211,26 @@ def simpson_from_scratch(f, a: float, b: float) -> float:
         if abs(cur - prev) <= 0.25 * quadrature.REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
+
+
+def decimal_literals(module, exempt: tuple[str, ...] = ()) -> list[str]:
+    """The source text of every float literal of module outside the functions
+    named in exempt, after checking that each is the direct argument of a
+    ``decimal`` call whose interval encloses the exact decimal it is written as.
+    A bare float would be taken as a point, not as that decimal."""
+    source = inspect.getsource(module)
+    tree = ast.parse(source)
+    skip = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in exempt for n in ast.walk(f)}
+    args = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "decimal" and len(node.args) == 1
+    }
+    floats = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float and id(n) not in skip]
+    texts = [ast.get_source_segment(source, n) for n in floats]
+    bare = [text for n, text in zip(floats, texts) if id(n) not in args]
+    assert floats and not bare, bare
+    for node, text in zip(floats, texts):
+        box = decimal(node.value)
+        assert Fraction(box.lo) <= Fraction(text) <= Fraction(box.hi), text
+    return texts

@@ -1,16 +1,13 @@
 """The Props 2.2/2.4 checklist: its 26 results, and the literals of its source."""
 
-import ast
-import inspect
-from fractions import Fraction
-
 import pytest
 
 import holdercert.checklist as checklist
-from holdercert.checklist import _decimal, check_proposition_inequalities
+from holdercert.checklist import check_proposition_inequalities
 from holdercert.checks import PASSED
 from holdercert.interval import Interval
 from holdercert.roots import find_alpha
+from oracles import decimal_literals
 
 # the decimals whose doubles round above or below them
 ROUNDED_DECIMALS = {"0.1", "2.1", "2.6", "1.3", "2.7", "0.7", "1.2", "1.16", "1.9", "2.28"}
@@ -43,23 +40,7 @@ class TestBuiltinCorpus:
         assert slope_one.margin > 0  # certified within 1e-12
 
     def test_literals_enclose_their_decimals(self):
-        source = inspect.getsource(checklist)
-        tree = ast.parse(source)
-        decimals = {
-            id(node.args[0]): node.args[0]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_decimal" and len(node.args) == 1
-        }
-        floats = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, float)]
-        # a bare float would be taken as a point, not as the decimal it is written as
-        assert floats and all(id(n) in decimals for n in floats), [ast.get_source_segment(source, n) for n in floats]
-        texts = set()
-        for node in floats:
-            text = ast.get_source_segment(source, node)
-            box = _decimal(node.value)
-            assert Fraction(box.lo) <= Fraction(text) <= Fraction(box.hi), text
-            texts.add(text)
-        assert ROUNDED_DECIMALS <= texts
+        assert ROUNDED_DECIMALS <= set(decimal_literals(checklist))
 
     def test_no_float_operand(self, monkeypatch):
         """Every operand the items coerce is an int.  A ratio of integers

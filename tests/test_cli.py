@@ -16,6 +16,7 @@ from holdercert.constants import ConstantsRow
 from holdercert.holder import QuotientRecord, piece_bounds
 from holdercert.optimizer import ConfigError, SupremumReport, global_sup
 from holdercert.report import (
+    VERIFY_N_MAX,
     VerificationReport,
     report_to_dict,
     report_to_json,
@@ -96,7 +97,7 @@ class TestVerify:
         # the only change from the report before cells were escaped
         unescaped = text.replace("\\|", "|").encode()
         assert hashlib.sha256(unescaped).hexdigest() == (
-            "cee3de15e0574247ca6b3cd26da931f6cbe1179d972ea2ee069c4f2b5c41638c"
+            "4a0ab1e32201fd0315c01fab3bd5e49d4d015c619258c81044e21837044ae2cd"
         )
 
     def test_determinism_small(self, tmp_path):
@@ -171,6 +172,11 @@ class TestVerify:
         monkeypatch.setattr("holdercert.cli.run_verification", record)
         assert main(["verify", "--n-max", "651", "--out", str(tmp_path / "r.json")]) == 0
         assert seen == [651]
+
+    def test_whole_campaign_at_the_ceiling(self):
+        # the largest n_max verify accepts is one the campaign decides
+        report = run_verification(VERIFY_N_MAX)
+        assert report.ok and report.summary["passed"] == 5952
 
     def test_io_error_exit_two(self, tmp_path):
         assert main(["verify", "--n-max", "1", "--out", str(tmp_path / "no" / "dir.json")]) == 2

@@ -16,6 +16,7 @@ from holdercert.constants import (
     tail_constant_certificate,
     tail_sqrt_c_bound,
 )
+from holdercert.interval import Interval
 from holdercert.quadrature import QuadratureBudgetExceeded, composite_simpson
 from holdercert.report import run_verification
 from holdercert.roots import find_alpha
@@ -200,23 +201,44 @@ class TestCertifiedSuite:
         assert tail_sqrt_c_bound() < math.sqrt(2.0)
 
     def test_tail_enclosures_hold_the_exact_decimals(self, monkeypatch):
-        # each certified upper end lies at or above the 50-digit value of its
-        # expression with 84.22 and 0.12 taken as exact decimals
-        lhs = {}
-        real = constants.certified_below_decimal
+        # both sides of each tail comparison enclose the 50-digit value of its
+        # expression with 84.22, 0.12, 1.83 and 0.00012 taken as exact decimals
+        sides = {}
+        real = constants.certified_less
 
-        def capture(check_id, anchor, value, threshold):
-            lhs[check_id] = value
-            return real(check_id, anchor, value, threshold)
+        def capture(check_id, anchor, lhs, rhs):
+            sides[check_id] = lhs, rhs
+            return real(check_id, anchor, lhs, rhs)
 
-        monkeypatch.setattr(constants, "certified_below_decimal", capture)
+        monkeypatch.setattr(constants, "certified_less", capture)
         tail_constant_certificate()
         with mp.workdps(50):
-            p, r = mp.mpf("84.22"), mp.mpf("0.12")
+            p, r, g, corr = mp.mpf("84.22"), mp.mpf("0.12"), mp.mpf("1.83"), mp.mpf("0.00012")
             exact = {
-                "tail/ratio": mp.pi**2 * (1 + 1 / p) ** 2 / p,
-                "tail/G": (mp.pi / 2) * (1 + 1 / p) ** 3 * (1 + r + r**2 / 5),
-                "tail/corr": (mp.pi / 4) / p**2 * (1 + 1 / p) ** 2 * (1 + 2 / p),
+                "tail/12pi2": (p, 12 * mp.pi**2),
+                "tail/ratio": (mp.pi**2 * (1 + 1 / p) ** 2 / p, r),
+                "tail/G": ((mp.pi / 2) * (1 + 1 / p) ** 3 * (1 + r + r**2 / 5), g),
+                "tail/corr": ((mp.pi / 4) / p**2 * (1 + 1 / p) ** 2 * (1 + 2 / p), corr),
+                "tail/C": (g + corr, mp.mpf(2)),
             }
-            for check_id, value in exact.items():
-                assert value <= mp.mpf(lhs[check_id].hi), check_id
+            assert sides.keys() == exact.keys()
+            for check_id, values in exact.items():
+                for side, value in zip(sides[check_id], values):
+                    box = side if isinstance(side, Interval) else Interval.point(side)  # the int 2
+                    assert mp.mpf(box.lo) <= value <= mp.mpf(box.hi), check_id
+            assert mp.mpf(tail_sqrt_c_bound()) >= mp.sqrt(mp.mpf("1.83012"))
+
+    def test_no_float_operand(self, monkeypatch):
+        """Every operand the suite and the tail coerce is an int: a decimal
+        written as a bare float would be taken as a point."""
+        for n in (1, 2, 3, 4):
+            find_alpha(n)  # root certification multiplies by a float sign
+        coerce = Interval._coerce
+
+        def ints_only(other):
+            if type(other) is not int:
+                raise TypeError(f"non-integer interval operand {other!r}")
+            return coerce(other)
+
+        monkeypatch.setattr(Interval, "_coerce", staticmethod(ints_only))
+        assert all(r.ok for r in check_constants_suite(3) + tail_constant_certificate())

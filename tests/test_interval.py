@@ -12,7 +12,6 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import holdercert.checks as checks
 import holdercert.constants as constants
 import holdercert.interval as iv
 from holdercert.checks import (
@@ -20,13 +19,11 @@ from holdercert.checks import (
     PASSED,
     UNDECIDED,
     CheckResult,
-    certified_above_decimal,
-    certified_below_decimal,
     certified_chain,
     certified_equal,
+    certified_less,
     certified_positive,
 )
-from holdercert.checklist import _decimal
 from holdercert.holder import df_iv
 from holdercert.interval import (
     PI,
@@ -34,7 +31,9 @@ from holdercert.interval import (
     DivisionByZeroInterval,
     DomainError,
     Interval,
+    decimal,
 )
+from oracles import decimal_literals
 
 mp.mp.prec = 120
 
@@ -250,7 +249,7 @@ class TestCertification:
             certified_positive("sign", "every term > 0")
 
     def test_chain_margin_is_weakest_link(self):
-        r = certified_chain("chain", "0 < f'(0.7/pi) < 1", 0, df_iv(_decimal(0.7) / PI), 1)
+        r = certified_chain("chain", "0 < f'(0.7/pi) < 1", 0, df_iv(decimal(0.7) / PI), 1)
         assert r.verdict == PASSED
         assert r.margin == pytest.approx(0.02375, rel=1e-3)  # f'(0.7/pi) = 0.02375
         r = certified_chain("chain", "0 < 1 < 2", *(Interval.point(k) for k in (0, 1, 2)))
@@ -267,30 +266,84 @@ class TestCertification:
     def test_equality_tolerance(self):
         slope = df_iv(2 / PI)
         assert certified_equal("eq", "f'(2/pi) = 1", slope, 1).verdict == PASSED
-        assert certified_equal("eq", "f'(2/pi) = 1.001", slope, _decimal(1.001)).verdict == FAILED
+        assert certified_equal("eq", "f'(2/pi) = 1.001", slope, decimal(1.001)).verdict == FAILED
+
+    def test_equal_straddling_the_band_is_undecided(self):
+        # 0 <= x <= 2e-12 may or may not lie within 1e-12 of 0: not proved, not disproved
+        r = certified_equal("eq", "x = 0", Interval(0.0, 2e-12), 0)
+        assert r.verdict == UNDECIDED and r.margin < 0.0
+
+    def test_equal_outside_the_band_fails(self):
+        for lhs in (Interval(2e-12, 3e-12), Interval(-3e-12, -2e-12)):
+            assert certified_equal("eq", "x = 0", lhs, 0).verdict == FAILED
+
+    @settings(max_examples=500, derandomize=True)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=2e-12),
+        st.floats(min_value=0.0, max_value=2e-12),
+    )
+    def test_equal_margin_is_a_lower_bound(self, x, below, above):
+        # lhs contains x, so it is never disproved: passed or undecided
+        lhs = Interval(x - below, x + above)
+        r = certified_equal("id", "anchor", lhs, Interval.point(x))
+        diff = lhs - Interval.point(x)
+        gap = Fraction(1e-12) - max(abs(Fraction(diff.lo)), abs(Fraction(diff.hi)))
+        assert r.verdict == (PASSED if gap >= 0 else UNDECIDED)
+        assert Fraction(r.margin) <= gap < Fraction(math.nextafter(r.margin, math.inf))
 
 
-# -- the two comparator bodies before "above" became "below" of the negation -----
+# -- a decimal of the proof is its enclosure, compared by certified_less -----
 
 
-def _round_down(q: Fraction) -> float:
-    """The largest double <= q."""
-    x = float(q)
-    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+def _less_ref(lhs: Interval, t: Fraction) -> tuple[str, Fraction]:
+    """Verdict and exact gap of lhs < t, read off the endpoints' exact ratios."""
+    gap = t - Fraction(lhs.hi)
+    return (PASSED if gap > 0 else UNDECIDED if Fraction(lhs.lo) < t else FAILED), gap
 
 
-def _below_decimal_ref(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
-    t = Fraction(threshold)
-    hi = Fraction(lhs.hi)
-    verdict = PASSED if hi < t else (UNDECIDED if Fraction(lhs.lo) < t else FAILED)
-    return CheckResult(check_id, anchor, verdict, _round_down(t - hi))
+def _greater_ref(lhs: Interval, t: Fraction) -> tuple[str, Fraction]:
+    """Verdict and exact gap of lhs > t."""
+    gap = Fraction(lhs.lo) - t
+    return (PASSED if gap > 0 else UNDECIDED if Fraction(lhs.hi) > t else FAILED), gap
 
 
-def _above_decimal_ref(check_id: str, anchor: str, lhs: Interval, threshold: str) -> CheckResult:
-    t = Fraction(threshold)
-    lo = Fraction(lhs.lo)
-    verdict = PASSED if lo > t else (UNDECIDED if Fraction(lhs.hi) > t else FAILED)
-    return CheckResult(check_id, anchor, verdict, _round_down(lo - t))
+def _compare(lhs: Interval, text: str):
+    """(r, exact verdict, exact gap, slack) for lhs < text and lhs > text, each
+    r by certified_less on decimal(float(text)).  The slack bounds how far a
+    margin may sit below the exact gap: 1.5 ulps from the enclosure, and 3 ulps
+    of twice the scale from the rounded subtraction and its outward step."""
+    box, t = decimal(float(text)), Fraction(text)
+    scale = abs(float(text)) + max(abs(lhs.lo), abs(lhs.hi))
+    slack = 5 * Fraction(math.ulp(scale))
+    below = certified_less("id", "anchor", lhs, box)
+    above = certified_less("id", "anchor", box, lhs)
+    return (below, *_less_ref(lhs, t), slack), (above, *_greater_ref(lhs, t), slack)
+
+
+def _assert_matches(lhs: Interval, text: str) -> None:
+    # a verdict that decides is the exact one; undecided only where one ulp could tip it
+    for r, verdict, _, _ in _compare(lhs, text):
+        assert r.verdict in (verdict, UNDECIDED), (lhs, text, r, verdict)
+
+
+def _assert_margins(lhs: Interval, text: str) -> None:
+    # a margin never claims more room than the exact gap, and gives up only a few ulps
+    for r, _, gap, slack in _compare(lhs, text):
+        assert gap - slack <= Fraction(r.margin) <= gap, (lhs, text, r)
+
+
+def _enclosable(text: str) -> bool:
+    """A double lies above float(text), so decimal can enclose it."""
+    return math.isfinite(math.nextafter(float(text), math.inf))
+
+
+def _assert_encloses(text: str) -> None:
+    x = float(text)
+    box = decimal(x)
+    assert box.lo < x < box.hi
+    assert Fraction(box.lo) <= Fraction(text) <= Fraction(box.hi), text
+    assert box.width <= 2 * math.ulp(x), text
 
 
 @st.composite
@@ -307,130 +360,83 @@ def _interval_and_decimal(draw):
 
 
 class TestDecimalComparators:
-    """certified_below_decimal/certified_above_decimal compare interval
-    endpoints with exact decimals, as the reference bodies do."""
-
-    @staticmethod
-    def both(lhs: Interval, threshold: str):
-        below = certified_below_decimal("id", "anchor", lhs, threshold)
-        above = certified_above_decimal("id", "anchor", lhs, threshold)
-        return (below.verdict, above.verdict), (below, above)
+    """certified_less with a decimal taken as its enclosure agrees with exact
+    comparison of the endpoints wherever it decides."""
 
     @settings(max_examples=500, derandomize=True)
     @given(_interval_and_decimal())
     def test_match_the_references(self, case):
-        lhs, threshold = case
-        _, got = self.both(lhs, threshold)
-        refs = (
-            _below_decimal_ref("id", "anchor", lhs, threshold),
-            _above_decimal_ref("id", "anchor", lhs, threshold),
-        )
-        for r, ref in zip(got, refs):
-            assert (r.check_id, r.anchor, r.verdict, r.margin.hex()) == (
-                ref.check_id,
-                ref.anchor,
-                ref.verdict,
-                ref.margin.hex(),
-            ), (lhs, threshold)
+        _assert_matches(*case)
 
     def test_double_above_its_decimal(self):
-        # the double 0.1 is 0.1000000000000000055...: above "0.1", never below
-        verdicts, (below, above) = self.both(Interval.point(0.1), "0.1")
-        assert verdicts == (FAILED, PASSED)
-        # the gap is no double, so each margin sits just below its exact value
-        gap = Fraction(0.1) - Fraction("0.1")
-        assert Fraction(above.margin) < gap < -Fraction(below.margin)
-        assert above.margin == math.nextafter(-below.margin, 0.0) > 0.0
+        # the double 0.1 is 0.1000000000000000055...: above "0.1", by less than
+        # an ulp, so neither "0.1 < 0.1" nor "0.1 > 0.1" is decided, and no
+        # point taken for the decimal passes the false one
+        lhs = Interval.point(0.1)
+        assert Fraction(lhs.lo) > Fraction("0.1")
+        below, above = (r for r, *_ in _compare(lhs, "0.1"))
+        assert (below.verdict, above.verdict) == (UNDECIDED, UNDECIDED)
+        assert below.margin < 0.0 and above.margin < 0.0
 
     @settings(max_examples=500, derandomize=True)
     @given(_interval_and_decimal())
     def test_margins_are_lower_bounds(self, case):
-        # a margin never claims more room than the exact gap, and it is the
-        # largest double that does not
-        lhs, threshold = case
-        _, (below, above) = self.both(lhs, threshold)
-        t = Fraction(threshold)
-        for margin, gap in ((below.margin, t - Fraction(lhs.hi)), (above.margin, Fraction(lhs.lo) - t)):
-            assert Fraction(margin) <= gap < Fraction(math.nextafter(margin, math.inf))
-
-    @settings(max_examples=500, derandomize=True)
-    @given(
-        st.floats(min_value=-1.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=2e-12),
-        st.floats(min_value=0.0, max_value=2e-12),
-    )
-    def test_equal_margin_is_a_lower_bound(self, x, below, above):
-        lhs = Interval(x - below, x + above)
-        r = certified_equal("id", "anchor", lhs, Interval.point(x))
-        diff = lhs - Interval.point(x)
-        gap = Fraction(1e-12) - max(abs(Fraction(diff.lo)), abs(Fraction(diff.hi)))
-        assert r.verdict == (PASSED if gap >= 0 else FAILED)
-        assert Fraction(r.margin) <= gap < Fraction(math.nextafter(r.margin, math.inf))
+        _assert_margins(*case)
 
     def test_end_at_the_decimal_is_undecided(self):
-        assert self.both(Interval(0.0, 0.5), "0.5")[0] == (UNDECIDED, FAILED)
-        assert self.both(Interval(0.5, 1.0), "0.5")[0] == (FAILED, UNDECIDED)
-
-
-def _constants_literals(monkeypatch) -> set[str]:
-    """Every threshold text the constants module passes to the decimal comparators."""
-    seen = set()
-    for name in ("certified_below_decimal", "certified_above_decimal"):
-        real = getattr(constants, name)
-
-        def capture(check_id, anchor, lhs, threshold, real=real):
-            seen.add(threshold)
-            return real(check_id, anchor, lhs, threshold)
-
-        monkeypatch.setattr(constants, name, capture)
-    constants.check_constants_suite(3)
-    constants.tail_constant_certificate()
-    return seen
-
-
-def _decimal_outcome(comparator, lhs: Interval, threshold: str) -> tuple[str, str]:
-    r = comparator("id", "anchor", lhs, threshold)
-    return r.verdict, r.margin.hex()
+        for lhs in (Interval(0.0, 0.5), Interval(0.5, 1.0)):
+            assert [r.verdict for r, *_ in _compare(lhs, "0.5")] == [UNDECIDED, UNDECIDED]
 
 
 class TestExactLiterals:
-    """The integer-ratio parser reads each threshold as Fraction does."""
+    """Each decimal of the proof is enclosed by decimal(float(text)), the
+    interval between the neighbours of its nearest double."""
 
-    # every threshold the constants module passes, then edge cases
+    # every decimal the constants module encloses, and its integer bound 2; then edge cases
     LITERALS = ["34.6", "84.22", "0.302", "0.00080", "2.259", "2.26", "0.12", "0.00012", "2", "1.83012", "1.83"]
     EDGES = ["1E+2", "-0.0", "5e-324", "1.7976931348623157e+308", "1e-12", ".5", "5.", "+7", " 0.25 "]
 
-    def test_literals_are_those_of_constants(self, monkeypatch):
-        assert _constants_literals(monkeypatch) == set(self.LITERALS)
+    def test_literals_are_those_of_constants(self):
+        # every float literal outside the float table c_n is a decimal(...) argument
+        assert set(decimal_literals(constants, exempt=("c_n",))) == set(self.LITERALS) - {"2"}
 
     @pytest.mark.parametrize("text", LITERALS + EDGES)
     def test_exact_value(self, text):
-        p, q = checks._exact(text)
-        assert q > 0 and Fraction(p, q) == Fraction(text)
+        if _enclosable(text):
+            _assert_encloses(text)
+        else:  # no double lies above the largest one: no enclosure, loudly
+            with pytest.raises(ValueError):
+                decimal(float(text))
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.decimals(min_value=-1000, max_value=1000, places=6).map(str))
+    def test_encloses_any_decimal(self, text):
+        _assert_encloses(text)
 
     @pytest.mark.parametrize("text", LITERALS + EDGES)
     def test_comparators_match_the_references(self, text):
         # intervals whose ends are the double nearest the literal, its
-        # neighbours and zero: every verdict, and margins down to one ulp
+        # neighbours and zero: undecided within an ulp, every other verdict exact
+        if not _enclosable(text):
+            with pytest.raises(ValueError):
+                _compare(Interval.point(0.0), text)
+            return
         x = float(text)
-        near = (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf), 0.0)
-        ends = sorted({e for e in near if math.isfinite(e)})
-        pairs = ((certified_below_decimal, _below_decimal_ref), (certified_above_decimal, _above_decimal_ref))
+        ends = sorted({math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf), 0.0})
         for i, lo in enumerate(ends):
             for hi in ends[i:]:
-                lhs = Interval(lo, hi)
-                for got, ref in pairs:
-                    assert _decimal_outcome(got, lhs, text) == _decimal_outcome(ref, lhs, text), (lhs, text)
+                _assert_matches(Interval(lo, hi), text)
+                _assert_margins(Interval(lo, hi), text)
 
     @pytest.mark.parametrize(
         "text", ["0.1.2", "", "1e", ".", "-", "e5", "1e+", "1.5e2.0", "0x10", "inf", "nan", "1..2", "1 .5", "--1"]
     )
     def test_malformed_text_raises(self, text):
+        # text that is no finite decimal gives no enclosure
         with pytest.raises(ValueError):
             Fraction(text)
-        for comparator in (certified_below_decimal, certified_above_decimal):
-            with pytest.raises(ValueError):
-                comparator("id", "anchor", Interval(0.0, 1.0), text)
+        with pytest.raises(ValueError):
+            decimal(float(text))
 
 
 class TestEnclosureProperty:

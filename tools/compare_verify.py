@@ -1,0 +1,49 @@
+"""Compare two `holdercert verify` JSON reports: same checks, margins apart.
+
+    python tools/compare_verify.py OLD.json NEW.json
+
+Exits 1 unless both reports have the same check ids, anchors, order,
+verdicts, summary and constants_table.  Prints, per family (the id up to its
+first "/"), how many margins changed, how many went down, and the largest
+drop in ulps of the check's threshold (the last "< t" or "> t" of its anchor,
+or of the margin itself where the anchor has none).
+"""
+
+import json
+import math
+import re
+import sys
+from collections import defaultdict
+
+_THRESHOLD = re.compile(r"[<>] (\d+(?:\.\d+)?)")
+
+
+def main(old_path: str, new_path: str) -> int:
+    with open(old_path) as f:
+        old = json.load(f)
+    with open(new_path) as f:
+        new = json.load(f)
+    same = [key for key in ("summary", "constants_table") if old[key] == new[key]]
+    keys = [(c["id"], c["anchor"], c["verdict"]) for c in old["checks"]]
+    if len(same) < 2 or keys != [(c["id"], c["anchor"], c["verdict"]) for c in new["checks"]]:
+        print("reports differ beyond their margins")
+        return 1
+    changed, lower, worst = defaultdict(int), defaultdict(int), defaultdict(float)
+    for a, b in zip(old["checks"], new["checks"]):
+        if a["margin"] == b["margin"]:
+            continue
+        family = a["id"].split("/")[0]
+        changed[family] += 1
+        lower[family] += b["margin"] < a["margin"]
+        found = _THRESHOLD.findall(a["anchor"])
+        scale = float(found[-1]) if found else a["margin"]
+        worst[family] = max(worst[family], (a["margin"] - b["margin"]) / math.ulp(scale))
+    print(f"{len(old['checks'])} checks; ids, anchors, order, verdicts, summary and constants_table equal")
+    for family in sorted(changed):
+        print(f"{family}: {changed[family]} margins changed, {lower[family]} lower, "
+              f"largest drop {worst[family]:.2f} ulps of the threshold")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))
