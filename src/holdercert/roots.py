@@ -21,14 +21,7 @@ from typing import NamedTuple
 from functools import lru_cache
 
 from . import interval as iv
-from .checks import (
-    CheckResult,
-    analytic_pass,
-    certified_chain,
-    certified_less,
-    certified_positive,
-    prove_boxes,
-)
+from .checks import CheckResult, certified_chain, certified_less, certified_positive
 from .interval import HALF_PI, PI, Interval
 
 N_MAX = 10_000
@@ -202,40 +195,27 @@ def check_theta_gap(n: int) -> CheckResult:
 
 # -- Lemma 1.5: sin t - t cos t < t^3/3 on (0, pi/2) -------------------------
 
-_SERIES_CUT = 0.4
-_LEFT_TAIL = 2.0**-30
-
-
-def _overshoot_iv(t: Interval) -> Interval:
-    """Enclosure of p(t) = sin t - t cos t - t^3/3.
-
-    For t <= 0.4 the alternating series p = -t^5/30 + t^7/840 - t^9/45360...
-    is used with an explicit remainder band; this kills the catastrophic
-    cancellation that makes the direct form useless near zero.
-    """
-    if t.hi <= _SERIES_CUT:
-        tail_hi = iv._up((t.hi**9) / 45360.0, 2)
-        return -(t**5) / 30 + (t**7) / 840 + Interval(-tail_hi, 0.0)
-    return iv.sin(t) - t * iv.cos(t) - (t**3) / 3
-
 
 def check_cubic_overshoot() -> list[CheckResult]:
-    """Lemma 1.5: sin t - t cos t < t^3/3 on (0, pi/2).
+    """Lemma 1.5: p(t) = sin t - t cos t - t^3/3 < 0 on (0, pi/2).
 
-    (0, 2^-30] is discharged by the alternating series (the t^5 term
-    dominates), recorded as an analytic-tail check; [2^-30, pi/2] by
-    adaptive interval subdivision with a box budget.
+    From the sine and cosine series, p(t)/t^5 = sum_{k>=2} (-1)^(k+1) b_k
+    with b_k = 2k t^(2k-4)/(2k+1)!, and b_{k+1}/b_k = t^2/(2k(2k+3)) <=
+    t^2/28.  Where t^2 < 28 the terms shrink, so the alternating-series
+    bound gives p(t)/t^5 < -1/30 + t^2/840 < 0.  Both left sides grow with t,
+    so each fact is checked once, at t = pi/2: no sin, no cos, no boxes.
     """
-    tail = analytic_pass(
+    t2 = HALF_PI**2
+    tail = certified_less(
         "L1.5/tail",
-        "Lemma 1.5: series bound sin t - t cos t - t^3/3 <= -t^5/30 + t^7/840 < 0 on (0, 2^-30]",
+        "Lemma 1.5: the series terms of p(t)/t^5 shrink, ratio t^2/(2k(2k+3)) <= t^2/28 < 1 on (0, pi/2]",
+        t2 / 28,
+        1,
     )
-    main = prove_boxes(
+    main = certified_less(
         "L1.5/main",
-        "Lemma 1.5: sin t - t cos t < t^3/3 on [2^-30, pi/2], certified by subdivision",
-        lambda box: -_overshoot_iv(box).hi,
-        [Interval(_LEFT_TAIL, HALF_PI.hi)],
+        "Lemma 1.5: sin t - t cos t - t^3/3 < t^5 (t^2/840 - 1/30) < 0 on (0, pi/2), alternating series",
+        t2 / 840,
+        Interval.point(1) / 30,
     )
-    if not main.ok:
-        raise CertificationFailure(f"lemma 1.5 undecided within the box budget, margin {main.margin!r}")
     return [tail, main]

@@ -97,7 +97,7 @@ class TestVerify:
         # the only change from the report before cells were escaped
         unescaped = text.replace("\\|", "|").encode()
         assert hashlib.sha256(unescaped).hexdigest() == (
-            "4a0ab1e32201fd0315c01fab3bd5e49d4d015c619258c81044e21837044ae2cd"
+            "82896e3f63c70bcce12bdf1f251400d67bc111ee20f189d508d66418d17a2e1e"
         )
 
     def test_determinism_small(self, tmp_path):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from holdercert.checks import FAILED, PASSED
+from holdercert.checks import FAILED, PASSED, UNDECIDED
 from holdercert.report import VERIFY_N_MAX
 from holdercert import interval as iv
 from holdercert.roots import (
@@ -241,15 +241,46 @@ class TestCubicOvershoot:
         results = check_cubic_overshoot()
         assert [r.verdict for r in results] == [PASSED, PASSED]
 
-    def test_undecided_box_raises(self, monkeypatch):
-        # a zero-straddling enclosure is bisected down to float resolution
-        monkeypatch.setattr("holdercert.roots._overshoot_iv", lambda t: Interval(-1.0, 1.0))
-        with pytest.raises(CertificationFailure, match="lemma 1.5"):
-            check_cubic_overshoot()
-        # and within a small budget it fails at the budget instead
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 4)
-        with pytest.raises(CertificationFailure, match="lemma 1.5"):
-            check_cubic_overshoot()
+    @staticmethod
+    def _series_bounds_hold(t: mp.mpf) -> bool:
+        # -1/30 < p(t)/t^5 < -1/30 + t^2/840, the alternating-series bounds
+        q = (mp.sin(t) - t * mp.cos(t) - t**3 / 3) / t**5
+        return -mp.mpf(1) / 30 < q < -mp.mpf(1) / 30 + t**2 / 840
+
+    def test_series_bounds_oracle(self):
+        with mp.workdps(60):
+            assert all(self._series_bounds_hold(mp.pi / 2 * k / 2000) for k in range(1, 2001))
+        for e in range(1, 40):
+            # p/t^5 loses 4e digits to cancellation and the upper gap ~t^4/45360
+            # needs 4e more: at 60 digits the check fails from t = 1e-8 down
+            with mp.workdps(60 + 10 * e):
+                assert self._series_bounds_hold(mp.mpf(10) ** -e), e
+
+    def test_margins_are_the_exact_gaps(self):
+        tail, main = check_cubic_overshoot()
+        with mp.workdps(50):
+            for r, exact in ((tail, 1 - mp.pi**2 / 112), (main, mp.mpf(1) / 30 - mp.pi**2 / 3360)):
+                assert 0 <= exact - mp.mpf(r.margin) <= 8 * math.ulp(float(exact)), r.check_id
+
+    @pytest.mark.parametrize(
+        "end, verdict",
+        [
+            (Interval(5.29, 5.30), UNDECIDED),  # the square straddles 28
+            (Interval(5.4, 5.5), FAILED),  # past t^2 = 28 the terms grow
+        ],
+    )
+    def test_checks_depend_on_the_range(self, monkeypatch, end, verdict):
+        monkeypatch.setattr("holdercert.roots.HALF_PI", end)
+        assert [r.verdict for r in check_cubic_overshoot()] == [verdict, verdict]
+
+    def test_no_trig_and_no_boxes(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Lemma 1.5 needs no trig kernel and no boxes")
+
+        monkeypatch.setattr("holdercert.interval.sin", fail)
+        monkeypatch.setattr("holdercert.interval.cos", fail)
+        monkeypatch.setattr("holdercert.checks.subdivide", fail)
+        assert [r.verdict for r in check_cubic_overshoot()] == [PASSED, PASSED]
 
     def test_point_values(self):
         # direct evaluations (mpmath oracle)

@@ -3,10 +3,12 @@
     python tools/compare_verify.py OLD.json NEW.json
 
 Exits 1 unless both reports have the same check ids, anchors, order,
-verdicts, summary and constants_table.  Prints, per family (the id up to its
-first "/"), how many margins changed, how many went down, and the largest
-drop in ulps of the check's threshold (the last "< t" or "> t" of its anchor,
-or of the margin itself where the anchor has none).
+verdicts, summary and constants_table, and then prints what differs: each
+check whose anchor or verdict differs (or that the ids or their order do),
+and whether summary or constants_table does.  Otherwise prints, per family
+(the id up to its first "/"), how many margins changed, how many went down,
+and the largest drop in ulps of the check's threshold (the last "< t" or
+"> t" of its anchor, or of the margin itself where the anchor has none).
 """
 
 import json
@@ -23,10 +25,17 @@ def main(old_path: str, new_path: str) -> int:
         old = json.load(f)
     with open(new_path) as f:
         new = json.load(f)
-    same = [key for key in ("summary", "constants_table") if old[key] == new[key]]
-    keys = [(c["id"], c["anchor"], c["verdict"]) for c in old["checks"]]
-    if len(same) < 2 or keys != [(c["id"], c["anchor"], c["verdict"]) for c in new["checks"]]:
+    differences = [f"{key} differs" for key in ("summary", "constants_table") if old[key] != new[key]]
+    if [c["id"] for c in old["checks"]] != [c["id"] for c in new["checks"]]:
+        differences.append("check ids or their order differ")
+    else:
+        for a, b in zip(old["checks"], new["checks"]):
+            fields = [key for key in ("anchor", "verdict") if a[key] != b[key]]
+            if fields:
+                differences.append(f"{a['id']} differs in {' and '.join(fields)}")
+    if differences:
         print("reports differ beyond their margins")
+        print("\n".join(differences))
         return 1
     changed, lower, worst = defaultdict(int), defaultdict(int), defaultdict(float)
     for a, b in zip(old["checks"], new["checks"]):
