@@ -8,9 +8,8 @@ as undecided, never as a pass.
 ``certified_positive`` is the one interval verdict: a reported claim made
 of several inequalities (a chain, Lemmas 1.2 and 1.3, the nesting step)
 passes all its differences to one call, so each report row is one result.
-A decimal of the proof enters a comparison as its enclosure
-``interval.decimal``; only the margin of an ``==`` agreement is computed on
-exact integer ratios.
+An ``==`` agreement is the chain -1e-12 < lhs - rhs < 1e-12, and a decimal
+of the proof enters a comparison as its enclosure ``interval.decimal``.
 
 ``subdivide`` is the one adaptive-bisection engine, and ``prove_boxes``
 the one verdict built on it: every box proof goes through it.
@@ -28,7 +27,7 @@ PASSED = "passed"
 FAILED = "failed"
 UNDECIDED = "undecided"
 SUBDIVISION_BUDGET = 1_000_000  # boxes one box proof may process
-EQUAL_TOL = 1e-12  # what certified_equal accepts as agreement
+EQUAL_TOL = Interval.point(1e-12)  # half-width of certified_equal's band, as a point
 
 
 class CheckResult(NamedTuple):
@@ -67,28 +66,10 @@ def certified_chain(check_id: str, anchor: str, *terms: Interval) -> CheckResult
     return certified_positive(check_id, anchor, *(b - a for a, b in zip(terms, terms[1:])))
 
 
-def _minus(p: int, q: int, x: float) -> tuple[int, int]:
-    """p/q - x exactly, as a ratio whose denominator is positive (q > 0)."""
-    a, b = x.as_integer_ratio()
-    return p * b - a * q, q * b
-
-
-def _round_down(p: int, q: int) -> float:
-    """The largest double <= p/q, q > 0 (int / int rounds correctly): a margin never claims more room."""
-    x = p / q
-    a, b = x.as_integer_ratio()
-    return math.nextafter(x, -math.inf) if a * q > p * b else x
-
-
 def certified_equal(check_id: str, anchor: str, lhs: Interval, rhs: Interval) -> CheckResult:
-    """Certify |lhs - rhs| <= EQUAL_TOL from the enclosure of the difference:
-    failed only if the whole difference lies outside the band, undecided if it
-    straddles an edge; margin = EQUAL_TOL - max |diff|, exactly, rounded down."""
-    diff = lhs - rhs
-    dev = max(abs(diff.lo), abs(diff.hi))
-    outside = diff.lo > EQUAL_TOL or diff.hi < -EQUAL_TOL
-    verdict = PASSED if dev <= EQUAL_TOL else (FAILED if outside else UNDECIDED)
-    return CheckResult(check_id, anchor, verdict, _round_down(*_minus(*EQUAL_TOL.as_integer_ratio(), dev)))
+    """Certify the chain -EQUAL_TOL < lhs - rhs < EQUAL_TOL: failed iff the
+    difference lies wholly beyond an edge, undecided if it straddles one."""
+    return certified_chain(check_id, anchor, -EQUAL_TOL, lhs - rhs, EQUAL_TOL)
 
 
 def analytic_pass(check_id: str, anchor: str) -> CheckResult:

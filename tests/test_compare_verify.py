@@ -1,0 +1,88 @@
+"""tools/compare_verify.py on small hand-built reports: exit codes and what it names."""
+
+import copy
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_verify.py"
+
+REPORT = {
+    "summary": {"passed": 3, "failed": 0, "undecided": 0},
+    "constants_table": [{"n": 1, "c_n": 0.5}],
+    "checks": [
+        {"id": "L1.4/gap[n=1]", "anchor": "alpha_1 alpha_2 > 34.6", "verdict": "passed", "margin": 0.25},
+        {"id": "L1.4/gap[n=2]", "anchor": "alpha_2 alpha_3 > 84.22", "verdict": "passed", "margin": 0.5},
+        {"id": "prop-ineq/21", "anchor": "f'(2/pi) = 1", "verdict": "passed", "margin": 1e-12},
+    ],
+}
+EQUAL_LINE = "3 checks; ids, anchors, order, verdicts, summary and constants_table equal"
+
+
+def _compare(tmp_path, old, new) -> subprocess.CompletedProcess:
+    paths = []
+    for name, report in (("old.json", old), ("new.json", new)):
+        path = tmp_path / name
+        path.write_text(json.dumps(report))
+        paths.append(str(path))
+    return _run(*paths)
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=60)
+
+
+def test_equal_reports(tmp_path):
+    proc = _compare(tmp_path, REPORT, copy.deepcopy(REPORT))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [EQUAL_LINE]
+
+
+def test_one_lowered_margin(tmp_path):
+    new = copy.deepcopy(REPORT)
+    new["checks"][0]["margin"] = 0.25 - 2 * math.ulp(34.6)  # two ulps of the threshold 34.6
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        EQUAL_LINE,
+        "L1.4: 1 margins changed, 1 lower, largest drop 2.00 ulps of the threshold",
+    ]
+
+
+@pytest.mark.parametrize("field, value", [("anchor", "alpha_2 alpha_3 > 84.2"), ("verdict", "undecided")])
+def test_changed_anchor_or_verdict(tmp_path, field, value):
+    new = copy.deepcopy(REPORT)
+    new["checks"][1][field] = value
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == ["reports differ beyond their margins", f"L1.4/gap[n=2] differs in {field}"]
+
+
+def test_reordered_ids(tmp_path):
+    new = copy.deepcopy(REPORT)
+    new["checks"].reverse()
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 1
+    assert "check ids or their order differ" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("args", [(), ("one.json",), ("a.json", "b.json", "c.json")])
+def test_wrong_argument_count(args):
+    proc = _run(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith("usage:")
+    assert proc.stdout == ""
+
+
+def test_missing_file(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(REPORT))
+    proc = _run(str(path), str(tmp_path / "missing.json"))
+    assert proc.returncode == 2
+    assert "missing.json" in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("usage:")
+    assert "Traceback" not in proc.stderr

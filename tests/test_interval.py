@@ -1,6 +1,8 @@
 """Interval kernel: enclosure, monotonicity, width control, error surface."""
 
+import ast
 import copy
+import inspect
 import math
 import operator
 import pickle
@@ -12,6 +14,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import holdercert.checks as checks
 import holdercert.constants as constants
 import holdercert.interval as iv
 from holdercert.checks import (
@@ -284,13 +287,33 @@ class TestCertification:
         st.floats(min_value=0.0, max_value=2e-12),
     )
     def test_equal_margin_is_a_lower_bound(self, x, below, above):
-        # lhs contains x, so it is never disproved: passed or undecided
+        # lhs contains x, so it is never disproved; the margin is the weaker
+        # link of the chain, each rounded to nearest and then outward
         lhs = Interval(x - below, x + above)
         r = certified_equal("id", "anchor", lhs, Interval.point(x))
         diff = lhs - Interval.point(x)
         gap = Fraction(1e-12) - max(abs(Fraction(diff.lo)), abs(Fraction(diff.hi)))
-        assert r.verdict == (PASSED if gap >= 0 else UNDECIDED)
-        assert Fraction(r.margin) <= gap < Fraction(math.nextafter(r.margin, math.inf))
+        two_ulps = 2 * Fraction(math.ulp(1e-12))
+        assert gap - two_ulps <= Fraction(r.margin) <= gap
+        if gap > two_ulps:
+            assert r.verdict == PASSED
+        elif gap < 0:
+            assert r.verdict == UNDECIDED
+        else:
+            assert r.verdict in (PASSED, UNDECIDED)
+
+    def test_equal_margin_of_a_symmetric_difference(self):
+        r = certified_equal("eq", "x = 0", Interval(-5e-13, 5e-13), 0)
+        assert r == ("eq", "x = 0", PASSED, 4.999999999999998e-13)
+
+    def test_equal_keeps_no_exact_ratios(self):
+        # the == margin comes from interval endpoints, like every other check
+        tree = ast.parse(inspect.getsource(checks))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "Fraction" not in names
+        assert "as_integer_ratio" not in attributes | names
 
 
 # -- a decimal of the proof is its enclosure, compared by certified_less -----

@@ -281,14 +281,3 @@ class TestCubicOvershoot:
         monkeypatch.setattr("holdercert.interval.cos", fail)
         monkeypatch.setattr("holdercert.checks.subdivide", fail)
         assert [r.verdict for r in check_cubic_overshoot()] == [PASSED, PASSED]
-
-    def test_point_values(self):
-        # direct evaluations (mpmath oracle)
-        p = lambda t: math.sin(t) - t * math.cos(t) - t**3 / 3.0
-        assert p(0.5) == pytest.approx(-1.0324090076500245e-3, rel=1e-10)
-        assert p(1.5) == pytest.approx(-0.23361081589749993, rel=1e-12)
-
-    def test_leading_terms_cancel(self):
-        # p -> 0 as t -> 0+ (boundary, non-strict)
-        p = lambda t: math.sin(t) - t * math.cos(t) - t**3 / 3.0
-        assert abs(p(1e-4)) < 1e-20

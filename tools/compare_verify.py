@@ -9,6 +9,8 @@ and whether summary or constants_table does.  Otherwise prints, per family
 (the id up to its first "/"), how many margins changed, how many went down,
 and the largest drop in ulps of the check's threshold (the last "< t" or
 "> t" of its anchor, or of the margin itself where the anchor has none).
+Exits 2, with a usage line on stderr, when it is not given two paths or
+cannot read either as JSON.
 """
 
 import json
@@ -18,13 +20,22 @@ import sys
 from collections import defaultdict
 
 _THRESHOLD = re.compile(r"[<>] (\d+(?:\.\d+)?)")
+USAGE = "usage: python tools/compare_verify.py OLD.json NEW.json"
 
 
-def main(old_path: str, new_path: str) -> int:
-    with open(old_path) as f:
-        old = json.load(f)
-    with open(new_path) as f:
-        new = json.load(f)
+def _load(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
+def main(argv: list[str]) -> int:
+    try:
+        if len(argv) != 2:
+            raise ValueError(f"expected 2 report paths, got {len(argv)}")
+        old, new = _load(argv[0]), _load(argv[1])
+    except (OSError, ValueError) as e:
+        print(f"compare_verify: {e}\n{USAGE}", file=sys.stderr)
+        return 2
     differences = [f"{key} differs" for key in ("summary", "constants_table") if old[key] != new[key]]
     if [c["id"] for c in old["checks"]] != [c["id"] for c in new["checks"]]:
         differences.append("check ids or their order differ")
@@ -55,4 +66,4 @@ def main(old_path: str, new_path: str) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(main(sys.argv[1:]))
