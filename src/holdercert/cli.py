@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .constants import ConstantsRow, c_n
 from .optimizer import ConfigError, global_sup
-from .report import report_to_json, report_to_markdown, run_verification, supremum_dict
+from .report import report_to_json, report_to_markdown, run_verification, supremum_dict, table_cell
 from .roots import N_MAX, find_alpha
 
 
@@ -56,7 +56,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_constants(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= N_MAX - 1:  # row n reads alpha_{n+1}
         raise ConfigError(f"--n must be in [1, {N_MAX - 1}], got {args.n}")
-    lines = [" ".join(ConstantsRow._fields)] + [" ".join(map(repr, c_n(n))) for n in range(1, args.n + 1)]
+    lines = [" ".join(ConstantsRow._fields)] + [" ".join(map(table_cell, c_n(n))) for n in range(1, args.n + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -8,16 +8,17 @@ Holder constant is
 
 with delta_n = alpha_{n+1} - alpha_n and
 F_n = 1 + (alpha_n alpha_{n+1} - 1)/((1+alpha_n^2)(1+alpha_{n+1}^2)).
+The bracket is I_n, the integral of u^4 sin^2 u over [alpha_n, alpha_{n+1}],
+in closed form, so C_n = (1/pi^2)(1/alpha_n - 1/alpha_{n+1})^2 I_n, the
+constant of Wirtinger's inequality on J_n.
 
-C_n also equals (1/pi^2)(1/alpha_n - 1/alpha_{n+1})^2 * I_n where
-I_n = integral of u^4 sin^2 u over [alpha_n, alpha_{n+1}]; that equality is
-the hinge between the root estimates and the Holder bound, so both routes
-are computed and cross-checked on every row.
+Each row of the constants table is one interval computation from the
+certified root brackets, and the Lemma 1.4 checks read their left sides from
+it; only i_quad, a float quadrature of I_n, is computed apart, as an oracle.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,87 +39,51 @@ def i_n_quad(n: int) -> float:
 
 
 class ConstantsRow(NamedTuple):
-    """One row of the constants table."""
+    """One row of the constants table: certified enclosures, and the float i_quad."""
 
     n: int
-    alpha_n: float
-    alpha_np1: float
-    delta: float
-    i_closed: float
+    alpha_n: Interval
+    alpha_np1: Interval
+    delta: Interval
+    i_closed: Interval
     i_quad: float
-    g: float
-    f_factor: float
-    c: float
+    g: Interval
+    correction: Interval
+    c: Interval
 
 
 @lru_cache(maxsize=None)
 def c_n(n: int) -> ConstantsRow:
-    """Fill the constants row for index n, with the dual-route self-check.
-
-    The row is built from the certified point estimates, with I_n in the
-    closed form of the module docstring; a disagreement beyond 1e-12
-    relative between the two C_n assemblies would mean the package's own
-    algebra is broken and raises immediately.
-    """
-    a = find_alpha(n).alpha
-    b = find_alpha(n + 1).alpha
-    delta = b - a
-    ff = 1.0 + (a * b - 1.0) / ((1.0 + a * a) * (1.0 + b * b))
-    i_closed = (b**5 - a**5) / 10.0 + delta / 4.0 * ff
-    prefactor = delta**2 / (math.pi**2 * a**2 * b**2)
-    g = prefactor * (b**5 - a**5) / 10.0
-    c_lemma = prefactor * i_closed
-    # 1/a - 1/b in floats would cancel away ~eps (a + b)/delta; take it exactly
-    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()  # q/p - s/r, rounded once
-    c_chain = (1.0 / math.pi**2) * ((q * r - s * p) / (p * r)) ** 2 * i_closed
-    if abs(c_lemma - c_chain) > 1e-12 * abs(c_lemma):
-        raise RuntimeError(
-            f"C_{n} dual-route mismatch: {c_lemma!r} vs {c_chain!r}"
-        )
-    return ConstantsRow(
-        n=n,
-        alpha_n=a,
-        alpha_np1=b,
-        delta=delta,
-        i_closed=i_closed,
-        i_quad=i_n_quad(n),
-        g=g,
-        f_factor=ff,
-        c=c_lemma,
-    )
-
-
-# -- certified interval assembly ---------------------------------------------
-
-
-def _c_parts_iv(n: int) -> tuple[Interval, Interval, Interval, Interval]:
-    """Interval enclosures of (delta^2/(a b), correction, G_n, C_n)."""
+    """Enclose the constants of row n: G_n and the correction are the prefactor
+    times the two terms of I_n, and C_n is their sum."""
     a = alpha_interval(n)
     b = alpha_interval(n + 1)
     delta = b - a
-    product = a * b
-    ff = 1 + (product - 1) / ((1 + a**2) * (1 + b**2))
+    ff = 1 + (a * b - 1) / ((1 + a**2) * (1 + b**2))
     prefactor = delta**2 / (PI**2 * a**2 * b**2)
-    g = prefactor * ((b**5 - a**5) / 10)
-    correction = prefactor * (delta * ff / 4)
-    return delta**2 / product, correction, g, g + correction
+    quintic = (b**5 - a**5) / 10
+    linear = delta * ff / 4
+    g = prefactor * quintic
+    correction = prefactor * linear
+    return ConstantsRow(n, a, b, delta, quintic + linear, i_n_quad(n), g, correction, g + correction)
 
 
-# (id, anchor, index into _c_parts_iv, bound) per row kind, formatted with n;
+# (id, anchor, left side, bound) per row kind, formatted with n; the left side
+# names a field of c_n's row, or "ratio" for delta_n^2/(alpha_n alpha_{n+1});
 # the decimal bounds are built at import, which certifies nothing
 _LATER_ROWS = (
-    ("L1.4/ratio[n={n}]", "Lemma 1.4 proof: delta_n^2/(alpha_n alpha_n+1) < 0.12 [n={n}]", 0, decimal(0.12)),
-    ("L1.4/corr[n={n}]", "Lemma 1.4 proof: correction term < 0.00012 [n={n}]", 1, decimal(0.00012)),
-    ("L1.4/C[n={n}]", "Lemma 1.4: C_n < 2 [n={n}]", 3, 2),
+    ("L1.4/ratio[n={n}]", "Lemma 1.4 proof: delta_n^2/(alpha_n alpha_n+1) < 0.12 [n={n}]", "ratio", decimal(0.12)),
+    ("L1.4/corr[n={n}]", "Lemma 1.4 proof: correction term < 0.00012 [n={n}]", "correction", decimal(0.00012)),
+    ("L1.4/C[n={n}]", "Lemma 1.4: C_n < 2 [n={n}]", "c", 2),
 )
 _SUITE_ROWS = {
     1: (
-        ("L1.4/ratio[n=1]", "Lemma 1.4 proof: delta_1^2/(alpha_1 alpha_2) < 0.302", 0, decimal(0.302)),
-        ("L1.4/corr[n=1]", "Lemma 1.4 proof: correction term < 0.00080 (n=1)", 1, decimal(0.00080)),
-        ("L1.4/G1", "Lemma 1.4 proof: G_1 < 2.259", 2, decimal(2.259)),
-        ("L1.4/C1", "Lemma 1.4: C_1 < 2.26", 3, decimal(2.26)),
+        ("L1.4/ratio[n=1]", "Lemma 1.4 proof: delta_1^2/(alpha_1 alpha_2) < 0.302", "ratio", decimal(0.302)),
+        ("L1.4/corr[n=1]", "Lemma 1.4 proof: correction term < 0.00080 (n=1)", "correction", decimal(0.00080)),
+        ("L1.4/G1", "Lemma 1.4 proof: G_1 < 2.259", "g", decimal(2.259)),
+        ("L1.4/C1", "Lemma 1.4: C_1 < 2.26", "c", decimal(2.26)),
     ),
-    2: _LATER_ROWS + (("L1.4/C2", "Lemma 1.4 proof assembly: C_2 < 1.83012", 3, decimal(1.83012)),),
+    2: _LATER_ROWS + (("L1.4/C2", "Lemma 1.4 proof assembly: C_2 < 1.83012", "c", decimal(1.83012)),),
 }
 
 
@@ -136,10 +101,11 @@ def check_constants_suite(n_max: int) -> list[CheckResult]:
         certified_less("L1.4/a2a3", "Lemma 1.4 proof: alpha_2 alpha_3 > 84.22", decimal(84.22), p23),
     ]
     for n in range(1, n_max + 1):
-        parts = _c_parts_iv(n)
+        row = c_n(n)
+        sides = row._asdict() | {"ratio": row.delta**2 / (row.alpha_n * row.alpha_np1)}
         results += [
-            certified_less(check_id.format(n=n), anchor.format(n=n), parts[part], bound)
-            for check_id, anchor, part, bound in _SUITE_ROWS.get(n, _LATER_ROWS)
+            certified_less(check_id.format(n=n), anchor.format(n=n), sides[side], bound)
+            for check_id, anchor, side, bound in _SUITE_ROWS.get(n, _LATER_ROWS)
         ]
     return results
 

@@ -21,6 +21,7 @@ from .holder import (
     wirtinger_equality_case,
     wirtinger_for_interval,
 )
+from .interval import Interval
 from .optimizer import ConfigError, SupremumReport
 from .roots import (
     check_cubic_overshoot,
@@ -104,12 +105,21 @@ def supremum_dict(s: SupremumReport) -> dict:
     }
 
 
+def table_cell(v) -> str:
+    """A constants-table cell: an interval as [lo,hi], without a space, and any other value as its repr."""
+    return f"[{v.lo!r},{v.hi!r}]" if isinstance(v, Interval) else repr(v)
+
+
+def _row_dict(row: ConstantsRow) -> dict:
+    return {k: [v.lo, v.hi] if isinstance(v, Interval) else v for k, v in row._asdict().items()}
+
+
 def report_to_dict(r: VerificationReport) -> dict:
     return {
         "tool_version": r.tool_version,
         "config": r.config,
         "checks": [_check_dict(c) for c in r.checks],
-        "constants_table": [row._asdict() for row in r.constants_table],
+        "constants_table": [_row_dict(row) for row in r.constants_table],
         "summary": r.summary,
     }
 
@@ -151,9 +161,9 @@ def report_to_markdown(r: VerificationReport) -> str:
             "",
             "## Constants",
             "",
-            "| n | alpha_n | alpha_n+1 | delta | I_n closed | I_n quad | G_n | F_n | C_n |",
-            "|---|---|---|---|---|---|---|---|---|",
+            "| " + " | ".join(ConstantsRow._fields) + " |",
+            "|" + "---|" * len(ConstantsRow._fields),
         ]
         for row in r.constants_table:
-            lines.append("| " + " | ".join(repr(v) for v in row) + " |")
+            lines.append("| " + " | ".join(map(table_cell, row)) + " |")
     return "\n".join(lines) + "\n"

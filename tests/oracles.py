@@ -213,20 +213,19 @@ def simpson_from_scratch(f, a: float, b: float) -> float:
         prev = cur
 
 
-def decimal_literals(module, exempt: tuple[str, ...] = ()) -> list[str]:
-    """The source text of every float literal of module outside the functions
-    named in exempt, after checking that each is the direct argument of a
-    ``decimal`` call whose interval encloses the exact decimal it is written as.
-    A bare float would be taken as a point, not as that decimal."""
+def decimal_literals(module) -> list[str]:
+    """The source text of every float literal of module, after checking that
+    each is the direct argument of a ``decimal`` call whose interval encloses
+    the exact decimal it is written as.  A bare float would be taken as a
+    point, not as that decimal."""
     source = inspect.getsource(module)
     tree = ast.parse(source)
-    skip = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in exempt for n in ast.walk(f)}
     args = {
         id(node.args[0])
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "decimal" and len(node.args) == 1
     }
-    floats = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float and id(n) not in skip]
+    floats = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float]
     texts = [ast.get_source_segment(source, n) for n in floats]
     bare = [text for n, text in zip(floats, texts) if id(n) not in args]
     assert floats and not bare, bare

@@ -14,6 +14,7 @@ from holdercert.checks import CheckResult
 from holdercert.cli import main
 from holdercert.constants import ConstantsRow
 from holdercert.holder import QuotientRecord, piece_bounds
+from holdercert.interval import Interval
 from holdercert.optimizer import ConfigError, SupremumReport, global_sup
 from holdercert.report import (
     VERIFY_N_MAX,
@@ -44,9 +45,10 @@ class TestVerify:
         assert data["summary"]["failed"] == 0
         assert data["summary"]["passed"] == len(data["checks"]) - data["summary"]["undecided"]
         assert data["tool_version"]
-        # constants rows n = 1..2, with C_1 < 2.26
+        # constants rows n = 1..2, with C_1 < 2.26; an interval is the list [lo, hi]
         assert [row["n"] for row in data["constants_table"]] == [1, 2]
-        assert data["constants_table"][0]["c"] < 2.26
+        lo, hi = data["constants_table"][0]["c"]
+        assert lo <= hi < 2.26
 
     def test_json_is_strict(self, small_report):
         json.loads(report_to_json(small_report), parse_constant=_reject_constant)
@@ -94,10 +96,15 @@ class TestVerify:
             assert cells == width, line
         escaped = [line.split(" | ")[0] for line in text.splitlines() if "\\|" in line]
         assert escaped == [f"| prop-ineq/{i:02d}" for i in (0, 1, 3, 4, 5, 7)]
-        # the only change from the report before cells were escaped
+        # the whole report, with its escapes undone
         unescaped = text.replace("\\|", "|").encode()
         assert hashlib.sha256(unescaped).hexdigest() == (
-            "82896e3f63c70bcce12bdf1f251400d67bc111ee20f189d508d66418d17a2e1e"
+            "a76056546d10301691fbf6ee9506a2c2cfa3d5419bf395173cf929df36b27036"
+        )
+        # the text above the constants table is the bytes it was when the table held floats
+        checks = text[: text.index("## Constants")].encode()
+        assert hashlib.sha256(checks).hexdigest() == (
+            "f47b824ee5d4e1165774f824ef32067a92a14f4fe3be8c3c0619e9bd7f70c0d9"
         )
 
     def test_determinism_small(self, tmp_path):
@@ -247,8 +254,11 @@ class TestConstantsCmd:
         assert main(["constants", "--n", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
-        c1 = float(lines[1].split()[-1])
-        assert c1 == pytest.approx(2.2563463338991654, rel=1e-12)
+        assert lines[0].split() == list(ConstantsRow._fields)
+        assert all(len(line.split()) == len(ConstantsRow._fields) for line in lines)
+        # an interval cell is [lo,hi]; C_1 from 60-digit mpmath lies inside
+        lo, hi = json.loads(lines[1].split()[-1])
+        assert lo <= 2.2563463338991654 <= hi
 
     @pytest.mark.parametrize("n", ["0", "10000"])
     def test_n_out_of_range_exit_two(self, n, monkeypatch, capsys):
@@ -265,7 +275,8 @@ class TestConstantsCmd:
 
         def record(n):
             seen.append(n)
-            return ConstantsRow(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            zero = Interval(0.0, 0.0)
+            return ConstantsRow(n, zero, zero, zero, zero, 0.0, zero, zero, zero)
 
         monkeypatch.setattr("holdercert.cli.c_n", record)
         assert main(["constants", "--n", "9999", "--out", str(tmp_path / "c.txt")]) == 0
@@ -487,7 +498,7 @@ class TestRecords:
     FIELDS = {
         CheckResult: ("check_id", "anchor", "verdict", "margin"),
         RootCertificate: ("n", "bracket", "alpha", "theta", "residual"),
-        ConstantsRow: ("n", "alpha_n", "alpha_np1", "delta", "i_closed", "i_quad", "g", "f_factor", "c"),
+        ConstantsRow: ("n", "alpha_n", "alpha_np1", "delta", "i_closed", "i_quad", "g", "correction", "c"),
         QuotientRecord: ("x", "y", "alpha_exp", "q", "interval_index", "provenance"),
         SupremumReport: (
             "sup_estimate", "arg", "per_interval", "method_breakdown", "bound_certificate", "tail_checks", "alpha_exp"

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from holdercert.cli import main
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_verify.py"
 
 REPORT = {
@@ -86,3 +88,25 @@ def test_missing_file(tmp_path):
     assert "missing.json" in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("usage:")
     assert "Traceback" not in proc.stderr
+
+
+def test_norm_reports_are_not_verify_reports(tmp_path):
+    # a norm report has no checks, summary or constants_table
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for path in paths:
+        assert main(["norm", "--n", "2", "--resolution", "64", "--out", path]) == 0
+    proc = _run(*paths)
+    assert proc.returncode == 2
+    assert "a.json is not a verify report" in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("usage:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("missing", ["checks", "summary", "constants_table"])
+def test_report_without_a_section(tmp_path, missing):
+    new = copy.deepcopy(REPORT)
+    del new[missing]
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 2
+    assert "new.json is not a verify report" in proc.stderr

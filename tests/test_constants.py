@@ -19,7 +19,7 @@ from holdercert.constants import (
 from holdercert.interval import Interval
 from holdercert.quadrature import QuadratureBudgetExceeded, composite_simpson
 from holdercert.report import run_verification
-from holdercert.roots import find_alpha
+from holdercert.roots import alpha_interval, find_alpha
 from oracles import simpson_from_scratch
 
 I_ORACLE = {1: 2569.108500733336, 2: 12664.695493401992, 5: 199381.51595128776}
@@ -107,22 +107,45 @@ class TestQuadrature:
             assert outcomes[0] == outcomes[1], (k, lo, hi)
 
 
+def _alpha_mp(n: int):
+    """alpha_n, the root of tan u = u in (n pi, (n + 1/2) pi), at the working precision."""
+    return mp.findroot(lambda u: mp.sin(u) - u * mp.cos(u), mp.mpf(find_alpha(n).alpha))
+
+
+def _row_mp(n: int) -> dict:
+    """The row's quantities at the working precision, from the Lemma 1.4 formulas."""
+    a, b = _alpha_mp(n), _alpha_mp(n + 1)
+    delta = b - a
+    ff = 1 + (a * b - 1) / ((1 + a**2) * (1 + b**2))
+    prefactor = delta**2 / (mp.pi**2 * a**2 * b**2)
+    g, correction = prefactor * (b**5 - a**5) / 10, prefactor * delta * ff / 4
+    return {
+        "alpha_n": a, "alpha_np1": b, "delta": delta, "i_closed": (b**5 - a**5) / 10 + delta * ff / 4,
+        "g": g, "correction": correction, "c": g + correction,
+    }
+
+
+def _within(x: float, box: Interval, rel: float) -> bool:
+    """x lies in box widened by rel |x| on each side."""
+    return box.lo - rel * abs(x) <= x <= box.hi + rel * abs(x)
+
+
 class TestOscillationIntegral:
     @pytest.mark.parametrize("n", sorted(I_ORACLE))
     def test_closed_matches_oracle(self, n):
-        assert c_n(n).i_closed == pytest.approx(I_ORACLE[n], rel=1e-12)
+        assert c_n(n).i_closed.mid == pytest.approx(I_ORACLE[n], rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50])
     def test_closed_matches_quadrature(self, n):
-        closed = c_n(n).i_closed
-        quad = i_n_quad(n)
-        assert abs(closed - quad) / quad <= 1e-10
+        row = c_n(n)
+        assert row.i_quad == i_n_quad(n)
+        assert _within(row.i_quad, row.i_closed, 1e-10)
 
     def test_quintic_lower_bound(self):
         # the bracketed factor is positive, so I_n exceeds the quintic part
         for n in (1, 2, 9):
             a, b = find_alpha(n).alpha, find_alpha(n + 1).alpha
-            assert c_n(n).i_closed > (b**5 - a**5) / 10.0
+            assert c_n(n).i_closed.lo > (b**5 - a**5) / 10.0
 
     def test_quintic_ratio(self):
         a, b = find_alpha(1).alpha, find_alpha(2).alpha
@@ -133,21 +156,32 @@ class TestOscillationIntegral:
 class TestConstantsRows:
     @pytest.mark.parametrize("n", sorted(C_ORACLE))
     def test_c_oracle(self, n):
-        assert c_n(n).c == pytest.approx(C_ORACLE[n], rel=1e-12)
+        assert c_n(n).c.mid == pytest.approx(C_ORACLE[n], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 651])
+    def test_every_interval_encloses_its_exact_value(self, n):
+        row = c_n(n)
+        with mp.workdps(50):
+            exact = _row_mp(n)
+            assert [k for k, v in zip(row._fields, row) if isinstance(v, Interval)] == list(exact)
+            for field, value in exact.items():
+                box = getattr(row, field)
+                assert mp.mpf(box.lo) <= value <= mp.mpf(box.hi), field
+                assert box.width <= 2e-12 * abs(box.mid), field
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_row_invariants(self, n):
         row = c_n(n)
-        assert math.pi - 0.2 < row.delta < math.pi + 0.2
-        assert abs(row.i_closed - row.i_quad) / row.i_quad <= 1e-10
-        correction = row.delta**2 / (math.pi**2 * row.alpha_n**2 * row.alpha_np1**2) * (
-            row.delta * row.f_factor / 4.0
-        )
-        assert row.c == pytest.approx(row.g + correction, rel=1e-14)
+        assert (row.alpha_n, row.alpha_np1) == (alpha_interval(n), alpha_interval(n + 1))
+        assert math.pi - 0.2 < row.delta.lo <= row.delta.hi < math.pi + 0.2
+        assert _within(row.i_quad, row.i_closed, 1e-10)
+        # C_n is G_n plus the correction, which is positive
+        assert row.correction.lo > 0.0
+        assert row.c == row.g + row.correction
 
     def test_delta_tends_to_pi(self):
         for n in (10, 60, 150):
-            assert abs(c_n(n).delta - math.pi) < 1e-2
+            assert abs(c_n(n).delta.mid - math.pi) < 1e-2
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_quintic_identity(self, n):
@@ -160,22 +194,31 @@ class TestConstantsRows:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_dual_route_identity(self, n):
-        # Lemma-style assembly equals the Wirtinger-chain constant
-        row = c_n(n)
-        chain = (1.0 / math.pi**2) * (1.0 / row.alpha_n - 1.0 / row.alpha_np1) ** 2 * row.i_closed
-        assert row.c == pytest.approx(chain, rel=1e-12)
+        # Lemma 1.4's assembly equals the Wirtinger constant (1/pi^2)(1/a - 1/b)^2 I_n,
+        # with I_n integrated directly, and the row encloses both
+        with mp.workdps(50):
+            exact = _row_mp(n)
+            a, b = exact["alpha_n"], exact["alpha_np1"]
+            i_n = mp.quad(lambda u: u**4 * mp.sin(u) ** 2, [a, b])
+            chain = (1 / a - 1 / b) ** 2 * i_n / mp.pi**2
+            assert abs(exact["c"] - chain) <= mp.mpf("1e-40") * chain
+            assert abs(exact["i_closed"] - i_n) <= mp.mpf("1e-40") * i_n
+            c = c_n(n).c
+            assert mp.mpf(c.lo) <= chain <= mp.mpf(c.hi)
 
     @pytest.mark.parametrize("n", [2567, 9999])
     def test_dual_route_past_float_cancellation(self, n):
-        # in floats 1/alpha_n - 1/alpha_{n+1} loses ~eps (a + b)/delta, which
-        # broke the 1e-12 self-check from n = 2567 on; the rows approach pi/2
-        assert c_n(n).c == pytest.approx(math.pi / 2, abs=2e-4)
+        # far out, where 1/alpha_n - 1/alpha_{n+1} would cancel in floats, the
+        # enclosure stays narrow and the rows approach pi/2
+        c = c_n(n).c
+        assert c.width <= 1e-10
+        assert c.mid == pytest.approx(math.pi / 2, abs=2e-4)
 
     def test_large_n_trend(self):
         # rows 50..200 sit below 1.7 (they approach pi/2)
         for n in (50, 100, 150, 200):
-            assert c_n(n).c < 1.7
-        assert c_n(200).c == pytest.approx(math.pi / 2, abs=2e-4)
+            assert c_n(n).c.hi < 1.7
+        assert c_n(200).c.mid == pytest.approx(math.pi / 2, abs=2e-4)
 
 
 class TestCertifiedSuite:
@@ -240,5 +283,6 @@ class TestCertifiedSuite:
                 raise TypeError(f"non-integer interval operand {other!r}")
             return coerce(other)
 
+        constants.c_n.cache_clear()  # the suite reads c_n's rows: build them under the patch
         monkeypatch.setattr(Interval, "_coerce", staticmethod(ints_only))
         assert all(r.ok for r in check_constants_suite(3) + tail_constant_certificate())

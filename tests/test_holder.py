@@ -310,6 +310,19 @@ class TestSubdivide:
         assert all(m == -1.0 for _, m in out)
         self._assert_tiles([leaf for leaf, _ in out], 0.0, 3.0)
 
+    @staticmethod
+    def zero_at_zero(box):
+        """Margin 0 on boxes that start at 0, and 1 elsewhere: 0 proves nothing."""
+        return 0.0 if box.lo == 0.0 else 1.0
+
+    def test_zero_margin_keeps_splitting(self, monkeypatch):
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 10)
+        out = list(subdivide(self.zero_at_zero, self.BOXES[:1]))
+        # [0, 1] is halved at boxes 1, 3, 5, 7 and 9; the budget leaves [0, 1/32]
+        assert [m for _, m in out].count(0.0) == 1
+        assert (Interval(0.0, 1 / 32), 0.0) in out
+        self._assert_tiles([leaf for leaf, _ in out], 0.0, 1.0)
+
     def test_unsplittable_box_is_a_leaf(self):
         tight = Interval(1.0, math.nextafter(1.0, 2.0))
         assert list(subdivide(lambda box: -1.0, [tight])) == [(tight, -1.0)]
@@ -329,6 +342,11 @@ class TestProveBoxes:
         monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 64)
         r = prove_boxes("id", "anchor", lambda box: -box.width, self.BOXES)
         assert r.verdict == UNDECIDED and r.margin <= 0.0
+
+    def test_zero_margin_is_never_proved(self, monkeypatch):
+        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 64)
+        r = prove_boxes("id", "anchor", TestSubdivide.zero_at_zero, self.BOXES)
+        assert (r.verdict, r.margin) == (UNDECIDED, 0.0)
 
     def test_budget_applies_per_call(self, monkeypatch):
         calls = []

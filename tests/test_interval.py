@@ -125,6 +125,21 @@ class TestArithmetic:
         a = -Interval(1, 2)
         assert a == Interval(-2, -1)
 
+    # finite doubles whose sums and 7th powers stay finite
+    _DOUBLES = st.floats(min_value=-1e40, max_value=1e40)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(_DOUBLES, _DOUBLES)
+    def test_sum_of_points_encloses_the_exact_sum(self, a, b):
+        box = Interval.point(a) + Interval.point(b)
+        assert Fraction(box.lo) <= Fraction(a) + Fraction(b) <= Fraction(box.hi)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(_DOUBLES, st.integers(min_value=2, max_value=7))
+    def test_power_of_a_point_encloses_the_exact_power(self, a, k):
+        box = Interval.point(a) ** k
+        assert Fraction(box.lo) <= Fraction(a) ** k <= Fraction(box.hi)
+
 
 def _four_corner(a: Interval, b: Interval, op) -> Interval:
     """The product or quotient from min/max of all four endpoint results."""
@@ -234,6 +249,8 @@ class TestCertification:
 
     def test_undecided(self):
         assert self.sign(Interval(-0.1, 0.1)) == (UNDECIDED, -0.1)
+        # a lower end at 0 neither proves nor disproves x > 0
+        assert self.sign(Interval(0.0, 1.0)) == (UNDECIDED, 0.0)
 
     def test_all_terms_positive(self):
         # the margin is the least lo, not the first term's
@@ -420,8 +437,8 @@ class TestExactLiterals:
     EDGES = ["1E+2", "-0.0", "5e-324", "1.7976931348623157e+308", "1e-12", ".5", "5.", "+7", " 0.25 "]
 
     def test_literals_are_those_of_constants(self):
-        # every float literal outside the float table c_n is a decimal(...) argument
-        assert set(decimal_literals(constants, exempt=("c_n",))) == set(self.LITERALS) - {"2"}
+        # every float literal of the module is a decimal(...) argument
+        assert set(decimal_literals(constants)) == set(self.LITERALS) - {"2"}
 
     @pytest.mark.parametrize("text", LITERALS + EDGES)
     def test_exact_value(self, text):

@@ -9,8 +9,9 @@ and whether summary or constants_table does.  Otherwise prints, per family
 (the id up to its first "/"), how many margins changed, how many went down,
 and the largest drop in ulps of the check's threshold (the last "< t" or
 "> t" of its anchor, or of the margin itself where the anchor has none).
-Exits 2, with a usage line on stderr, when it is not given two paths or
-cannot read either as JSON.
+Exits 2, with a usage line on stderr, when it is not given two paths, cannot
+read either as JSON, or either is not a verify report: a JSON object with
+checks, summary and constants_table.
 """
 
 import json
@@ -21,6 +22,7 @@ from collections import defaultdict
 
 _THRESHOLD = re.compile(r"[<>] (\d+(?:\.\d+)?)")
 USAGE = "usage: python tools/compare_verify.py OLD.json NEW.json"
+REPORT_KEYS = {"checks", "summary", "constants_table"}
 
 
 def _load(path: str):
@@ -33,6 +35,9 @@ def main(argv: list[str]) -> int:
         if len(argv) != 2:
             raise ValueError(f"expected 2 report paths, got {len(argv)}")
         old, new = _load(argv[0]), _load(argv[1])
+        for path, report in zip(argv, (old, new)):
+            if not (isinstance(report, dict) and REPORT_KEYS <= report.keys()):
+                raise ValueError(f"{path} is not a verify report: it needs {', '.join(sorted(REPORT_KEYS))}")
     except (OSError, ValueError) as e:
         print(f"compare_verify: {e}\n{USAGE}", file=sys.stderr)
         return 2
