@@ -12,13 +12,14 @@ The bracket is I_n, the integral of u^4 sin^2 u over [alpha_n, alpha_{n+1}],
 in closed form, so C_n = (1/pi^2)(1/alpha_n - 1/alpha_{n+1})^2 I_n, the
 constant of Wirtinger's inequality on J_n.
 
-Each row of the constants table is one interval computation from the
-certified root brackets, and the Lemma 1.4 checks read their left sides from
-it; only i_quad, a float quadrature of I_n, is computed apart, as an oracle.
+Each row of the constants table is one interval computation from the certified
+root brackets, and the Lemma 1.4 checks read their left sides from it; only
+i_quad, the pure-Python float quadrature of I_n, is computed apart, as an oracle.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,11 +32,9 @@ from .roots import alpha_interval, find_alpha
 
 def i_n_quad(n: int) -> float:
     """Quadrature oracle for I_n, independent of the closed form."""
-    import numpy as np
-
     a = find_alpha(n).alpha
     b = find_alpha(n + 1).alpha
-    return composite_simpson(lambda u: u**4 * np.sin(u) ** 2, a, b)
+    return composite_simpson(lambda u: [x**4 * math.sin(x) ** 2 for x in u], a, b)
 
 
 class ConstantsRow(NamedTuple):

@@ -1,11 +1,11 @@
-"""The function f(x) = x sin(1/x), its Holder quotient, and the structural
-checks that reduce the global quotient bound to per-interval searches.
+"""The function f(x) = x sin(1/x), its Holder quotient, the structural checks
+that reduce the global quotient bound to per-interval searches, and Wirtinger's
+inequality (Lemma 1.6) on each piece, by the pure-Python quadrature oracle.
 
-J_0 = [1/alpha_1, inf) and J_n = [1/alpha_{n+1}, 1/alpha_n) partition
-(0, 1/alpha_1]; f is monotone on each piece and its endpoint images
-(-1)^n sin(theta_n) shrink in magnitude, which nests the images
-f(J_0) > f(J_1) > ... and makes cross-interval pairs remappable into a
-single piece without increasing their distance.
+J_0 = [1/alpha_1, inf) and J_n = [1/alpha_{n+1}, 1/alpha_n) partition (0, 1/alpha_1];
+f is monotone on each piece and its endpoint images (-1)^n sin(theta_n) shrink in
+magnitude, which nests the images f(J_0) > f(J_1) > ... and makes cross-interval
+pairs remappable into a single piece without increasing their distance.
 """
 
 from __future__ import annotations
@@ -158,18 +158,11 @@ def wirtinger_for_interval(n: int) -> CheckResult:
     Quadrature-based numerical check (g vanishes at both ends since the
     interval ends are stationary points of f).
     """
-    import numpy as np
-
-    a, b = piece_bounds(n, math.inf)
-
-    def g_sq(t):
-        u = 1.0 / t
-        return (np.sin(u) - u * np.cos(u)) ** 2
-
-    def dg_sq(t):
-        return (np.sin(1.0 / t) / t**3) ** 2
-
-    lhs, rhs = _wirtinger_sides(g_sq, dg_sq, a, b)
+    lhs, rhs = _wirtinger_sides(
+        lambda t: [(math.sin(u) - u * math.cos(u)) ** 2 for u in (1.0 / x for x in t)],
+        lambda t: [(math.sin(1.0 / x) / x**3) ** 2 for x in t],
+        *piece_bounds(n, math.inf),
+    )
     verdict = PASSED if lhs < rhs else FAILED
     return CheckResult(
         f"L1.6/J[n={n}]",
@@ -181,10 +174,11 @@ def wirtinger_for_interval(n: int) -> CheckResult:
 
 def wirtinger_equality_case() -> CheckResult:
     """Equality case g(t) = sin(pi t) on [0, 1]: both sides must agree to 1e-9."""
-    import numpy as np
-
     lhs, rhs = _wirtinger_sides(
-        lambda t: np.sin(math.pi * t) ** 2, lambda t: (math.pi * np.cos(math.pi * t)) ** 2, 0.0, 1.0
+        lambda t: [math.sin(math.pi * x) ** 2 for x in t],
+        lambda t: [(math.pi * math.cos(math.pi * x)) ** 2 for x in t],
+        0.0,
+        1.0,
     )
     dev = abs(lhs / rhs - 1.0)
     return CheckResult(

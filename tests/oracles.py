@@ -8,7 +8,7 @@ command runs.  The test modules import them as ``from oracles import ...``
 - ``interval_sup``: the per-piece search for one piece J_n, n >= 1;
 - ``brute_grid_oracle``: the exhaustive grid maximum of the quotient;
 - ``spot_check_max``: the quotient maximum over seeded random pairs;
-- ``simpson_from_scratch``: composite Simpson with every level built anew;
+- ``simpson_from_scratch``: the Romberg rule on Simpson levels, each level built anew;
 - ``decimal_literals``: the decimal texts of a module's float literals, each
   read exactly (``Fraction``) and found inside its ``decimal`` enclosure.
 """
@@ -189,28 +189,29 @@ def spot_check_max(n_pairs: int, lo: float, hi: float, seed: int = 20240901) -> 
 
 
 def simpson_from_scratch(f, a: float, b: float) -> float:
-    """``composite_simpson`` with each level evaluated on its whole
-    ``np.linspace`` grid; the nested refinement must return the same float.
-    Reads the budget and tolerance from ``holdercert.quadrature`` per call."""
+    """``composite_simpson`` with each level evaluated on its whole grid: the
+    running sums are rebuilt from that level's values, the odd points of each
+    earlier level taken by stride, and the Romberg table extrapolates the
+    Simpson values; the nested rule must return the same float.  Reads the
+    budget and tolerance from ``holdercert.quadrature`` per call."""
     if a == b:
         return 0.0
-
-    def simpson(panels: int) -> float:
-        x = np.linspace(a, b, 2 * panels + 1)
-        y = f(x)
-        h = (b - a) / (2 * panels)
-        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-    panels = 8
-    prev = simpson(panels)
+    panels, row = 8, []
     while True:
+        k = panels.bit_length() - 4  # the level: panels = 8 * 2**k
+        h = (b - a) / (2 * panels)
+        y = f(quadrature.Points([a + i * h for i in range(2 * panels)] + [b]))
+        even = math.fsum(y[2 ** (k + 1) : -1 : 2 ** (k + 1)])  # the even points of level 0
+        for j in range(k):  # then the odd points of levels 0 .. k - 1
+            even += math.fsum(y[2 ** (k - j) :: 2 ** (k - j + 1)])
+        prev, row = row, [h / 3.0 * (y[0] + y[-1] + 4.0 * math.fsum(y[1::2]) + 2.0 * even)]
+        for j, r in enumerate(prev):
+            row.append(row[j] + (row[j] - r) / (4 ** (j + 2) - 1))
+        if prev and abs(row[-1] - prev[-1]) <= 0.25 * quadrature.REL_TOL * max(abs(row[-1]), 1e-300):
+            return row[-1]
         panels *= 2
         if panels > quadrature.MAX_PANELS:
             raise quadrature.QuadratureBudgetExceeded(f"no convergence within {panels // 2} panels")
-        cur = simpson(panels)
-        if abs(cur - prev) <= 0.25 * quadrature.REL_TOL * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
 
 
 def decimal_literals(module) -> list[str]:

@@ -15,14 +15,17 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_verify.py"
 
 REPORT = {
     "summary": {"passed": 3, "failed": 0, "undecided": 0},
-    "constants_table": [{"n": 1, "c_n": 0.5}],
+    "constants_table": [
+        {"n": 1, "alpha_n": [4.493409457909063, 4.493409457909065], "i_quad": 2569.108500733336, "c": [2.25, 2.26]},
+        {"n": 2, "alpha_n": [7.725251836937706, 7.725251836937709], "i_quad": 12664.695493401992, "c": [1.82, 1.83]},
+    ],
     "checks": [
         {"id": "L1.4/gap[n=1]", "anchor": "alpha_1 alpha_2 > 34.6", "verdict": "passed", "margin": 0.25},
         {"id": "L1.4/gap[n=2]", "anchor": "alpha_2 alpha_3 > 84.22", "verdict": "passed", "margin": 0.5},
         {"id": "prop-ineq/21", "anchor": "f'(2/pi) = 1", "verdict": "passed", "margin": 1e-12},
     ],
 }
-EQUAL_LINE = "3 checks; ids, anchors, order, verdicts, summary and constants_table equal"
+EQUAL_LINE = "3 checks; ids, anchors, order, verdicts, summary and constants_table but i_quad equal"
 
 
 def _compare(tmp_path, old, new) -> subprocess.CompletedProcess:
@@ -62,6 +65,33 @@ def test_changed_anchor_or_verdict(tmp_path, field, value):
     proc = _compare(tmp_path, REPORT, new)
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == ["reports differ beyond their margins", f"L1.4/gap[n=2] differs in {field}"]
+
+
+def test_i_quad_moved_by_one_ulp(tmp_path):
+    # the float quadrature oracle may move: reported like the margins, not a difference
+    new = copy.deepcopy(REPORT)
+    new["constants_table"][1]["i_quad"] = math.nextafter(12664.695493401992, math.inf)
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [EQUAL_LINE, "i_quad: 1 of 2 changed, largest relative move 1.44e-16"]
+
+
+@pytest.mark.parametrize("field, end", [("alpha_n", 0), ("c", 1)])
+def test_interval_end_moved(tmp_path, field, end):
+    new = copy.deepcopy(REPORT)
+    new["constants_table"][0][field][end] = math.nextafter(new["constants_table"][0][field][end], 0.0)
+    new["constants_table"][1]["i_quad"] += 1.0
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == ["reports differ beyond their margins", f"constants_table row n=1 differs in {field}"]
+
+
+def test_constants_rows_added(tmp_path):
+    new = copy.deepcopy(REPORT)
+    new["constants_table"].append({**REPORT["constants_table"][1], "n": 3})
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 1
+    assert "constants_table has 2 rows, then 3" in proc.stdout.splitlines()
 
 
 def test_reordered_ids(tmp_path):

@@ -4,7 +4,6 @@ constants suite.  Frozen values are from 60-digit mpmath evaluation."""
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from holdercert import constants, holder
@@ -28,7 +27,7 @@ C_ORACLE = {1: 2.2563463338991654, 2: 1.8274008610234556, 3: 1.7075267875581779}
 
 # integrand points of run_verification(200) when every Simpson level
 # evaluates its whole grid, as simpson_from_scratch does
-FROM_SCRATCH_POINTS = 847_345
+FROM_SCRATCH_POINTS = 103_881
 
 
 def _counted(f, sizes: list):
@@ -62,21 +61,40 @@ def verify_integrals():
 class TestQuadrature:
     def test_sin_squared_identity(self):
         # integral of sin^2 over [0, pi] is pi/2
-        val = composite_simpson(lambda u: np.sin(u) ** 2, 0.0, math.pi)
+        val = composite_simpson(lambda u: [math.sin(x) ** 2 for x in u], 0.0, math.pi)
         assert val == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr("holdercert.quadrature.MAX_PANELS", 64)
         with pytest.raises(QuadratureBudgetExceeded):
-            composite_simpson(lambda u: np.abs(np.sin(1.0 / (u + 1e-8))), 0.0, 1.0)
+            composite_simpson(lambda u: [abs(math.sin(1.0 / (x + 1e-8))) for x in u], 0.0, 1.0)
 
-    @pytest.mark.parametrize("integrand", [lambda u: np.sqrt(u - 0.5), lambda u: 1.0 / u])
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            lambda u: [math.sqrt(x - 0.5) if x >= 0.5 else math.nan for x in u],
+            lambda u: [1.0 / x if x else math.inf for x in u],
+            lambda u: [math.inf if x < 0.5 else -math.inf for x in u],  # math.fsum raises on inf - inf
+            lambda u: [1e308 for x in u],  # and on a partial sum past the largest double
+        ],
+    )
     def test_non_finite_value_fails_at_the_first_level(self, integrand):
         sizes = []
-        with np.errstate(invalid="ignore", divide="ignore"):
-            with pytest.raises(QuadratureBudgetExceeded, match="at 8 panels is not finite"):
-                composite_simpson(_counted(integrand, sizes), 0.0, 1.0)
+        with pytest.raises(QuadratureBudgetExceeded, match="at 8 panels is not finite"):
+            composite_simpson(_counted(integrand, sizes), 0.0, 1.0)
         assert sum(sizes) <= 17
+
+    def test_integrand_receives_a_list_with_a_size(self):
+        seen = []
+
+        def integrand(u):
+            seen.append((type(u), u.size, len(u)))
+            return [x * x for x in u]
+
+        # Simpson is exact on x^2, so the first two levels agree
+        assert composite_simpson(integrand, 0.0, 3.0) == pytest.approx(9.0, rel=1e-15)
+        assert [size for _, size, _ in seen] == [17, 16]
+        assert all(issubclass(kind, list) and size == length for kind, size, length in seen)
 
     def test_every_verify_integral_equals_the_from_scratch_rule(self, verify_integrals):
         # I_n for n <= 200, 50 Wirtinger pairs and the equality case
@@ -86,17 +104,19 @@ class TestQuadrature:
             assert value == simpson_from_scratch(_counted(f, sizes), a, b), (a, b)
         assert sum(sizes) == FROM_SCRATCH_POINTS
 
-    def test_verify_evaluates_about_half_the_points(self, verify_integrals):
-        assert sum(c[4] for c in verify_integrals) <= 0.55 * FROM_SCRATCH_POINTS
+    def test_verify_evaluates_at_most_60000_points(self, verify_integrals):
+        # Simpson levels alone, without the Romberg extrapolation, take 425,326
+        assert sum(c[4] for c in verify_integrals) <= 60_000
 
-    @pytest.mark.parametrize("k", [3, 10, 11, 12])
+    @pytest.mark.parametrize("k", [3, 6, 7, 10, 11, 12])
     def test_budget_path_equals_the_from_scratch_rule(self, monkeypatch, k):
-        # I_1 settles at 2**11 panels: budgets below, just below, at and above it
+        # I_1 settles at 2**7 panels: budgets below, just below, at and above it;
+        # the near-singular integrand runs out of every budget
         monkeypatch.setattr("holdercert.quadrature.MAX_PANELS", 2**k)
         a, b = find_alpha(1).alpha, find_alpha(2).alpha
         for f, lo, hi in (
-            (lambda u: u**4 * np.sin(u) ** 2, a, b),
-            (lambda u: np.abs(np.sin(1.0 / (u + 1e-8))), 0.0, 1.0),
+            (lambda u: [x**4 * math.sin(x) ** 2 for x in u], a, b),
+            (lambda u: [abs(math.sin(1.0 / (x + 1e-8))) for x in u], 0.0, 1.0),
         ):
             outcomes = []
             for rule in (composite_simpson, simpson_from_scratch):
@@ -140,6 +160,14 @@ class TestOscillationIntegral:
         row = c_n(n)
         assert row.i_quad == i_n_quad(n)
         assert _within(row.i_quad, row.i_closed, 1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 200])
+    def test_quadrature_matches_mpmath(self, n):
+        # within 1e-13 of 40-digit mpmath quadrature between the same float ends
+        a, b = find_alpha(n).alpha, find_alpha(n + 1).alpha
+        with mp.workdps(40):
+            exact = mp.quad(lambda u: u**4 * mp.sin(u) ** 2, [mp.mpf(a), mp.mpf(b)])
+            assert abs(i_n_quad(n) - exact) <= mp.mpf("1e-13") * exact
 
     def test_quintic_lower_bound(self):
         # the bracketed factor is positive, so I_n exceeds the quintic part

@@ -4,10 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
+import mpmath as mp
 import pytest
 
-from holdercert import interval
+from holdercert import holder, interval
 from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_less, certified_positive, prove_boxes, subdivide
 from holdercert.holder import (
     ENVELOPE_X_MAX,
@@ -151,12 +151,32 @@ class TestWirtinger:
         # the sine arch on [a, b]: both Wirtinger sides are (b - a)/2
         a, b = 0.3, 2.7
         w = b - a
-        lhs = composite_simpson(lambda t: np.sin(math.pi * (t - a) / w) ** 2, a, b)
+        lhs = composite_simpson(lambda t: [math.sin(math.pi * (x - a) / w) ** 2 for x in t], a, b)
         rhs = (w / math.pi) ** 2 * composite_simpson(
-            lambda t: (math.pi / w * np.cos(math.pi * (t - a) / w)) ** 2, a, b
+            lambda t: [(math.pi / w * math.cos(math.pi * (x - a) / w)) ** 2 for x in t], a, b
         )
         assert abs(lhs / rhs - 1.0) <= 1e-9
         assert lhs == pytest.approx(w / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 25, 50])
+    def test_sides_match_mpmath(self, monkeypatch, n):
+        # both sides within 1e-13 of 40-digit mpmath quadrature between the same float ends
+        sides, both_sides = [], holder._wirtinger_sides
+
+        def recording(*args):
+            sides.append((args[2:], both_sides(*args)))
+            return sides[-1][1]
+
+        monkeypatch.setattr(holder, "_wirtinger_sides", recording)
+        wirtinger_for_interval(n)
+        [((a, b), (lhs, rhs))] = sides
+        assert (a, b) == piece_bounds(n, math.inf)
+        with mp.workdps(40):
+            lo, hi = mp.mpf(a), mp.mpf(b)
+            exact_lhs = mp.quad(lambda t: (mp.sin(1 / t) - mp.cos(1 / t) / t) ** 2, [lo, hi])
+            exact_rhs = ((hi - lo) / mp.pi) ** 2 * mp.quad(lambda t: (mp.sin(1 / t) / t**3) ** 2, [lo, hi])
+            assert abs(lhs - exact_lhs) <= mp.mpf("1e-13") * exact_lhs
+            assert abs(rhs - exact_rhs) <= mp.mpf("1e-13") * exact_rhs
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
     def test_interval_inequality(self, n):

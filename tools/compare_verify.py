@@ -1,17 +1,20 @@
-"""Compare two `holdercert verify` JSON reports: same checks, margins apart.
+"""Compare two `holdercert verify` JSON reports: same checks, margins and i_quad apart.
 
     python tools/compare_verify.py OLD.json NEW.json
 
 Exits 1 unless both reports have the same check ids, anchors, order,
-verdicts, summary and constants_table, and then prints what differs: each
-check whose anchor or verdict differs (or that the ids or their order do),
-and whether summary or constants_table does.  Otherwise prints, per family
-(the id up to its first "/"), how many margins changed, how many went down,
-and the largest drop in ulps of the check's threshold (the last "< t" or
-"> t" of its anchor, or of the margin itself where the anchor has none).
-Exits 2, with a usage line on stderr, when it is not given two paths, cannot
-read either as JSON, or either is not a verify report: a JSON object with
-checks, summary and constants_table.
+verdicts and summary, and the same constants rows in every field but the
+float quadrature oracle i_quad (n and the interval columns compare exactly),
+and then prints what differs: each check whose anchor or verdict differs (or
+that the ids or their order do), whether summary does, and each constants
+row that differs beyond i_quad (or that the row count does).  Otherwise
+exits 0 and prints, per family (the id up to its first "/"), how many
+margins changed, how many went down, and the largest drop in ulps of the
+check's threshold (the last "< t" or "> t" of its anchor, or of the margin
+itself where the anchor has none); and, if any i_quad changed, how many did
+and the largest relative move.  Exits 2, with a usage line on stderr, when
+it is not given two paths, cannot read either as JSON, or either is not a
+verify report: a JSON object with checks, summary and constants_table.
 """
 
 import json
@@ -41,7 +44,14 @@ def main(argv: list[str]) -> int:
     except (OSError, ValueError) as e:
         print(f"compare_verify: {e}\n{USAGE}", file=sys.stderr)
         return 2
-    differences = [f"{key} differs" for key in ("summary", "constants_table") if old[key] != new[key]]
+    differences = ["summary differs"] if old["summary"] != new["summary"] else []
+    old_rows, new_rows = old["constants_table"], new["constants_table"]
+    if len(old_rows) != len(new_rows):
+        differences.append(f"constants_table has {len(old_rows)} rows, then {len(new_rows)}")
+    for a, b in zip(old_rows, new_rows):
+        fields = sorted(key for key in (a.keys() | b.keys()) - {"i_quad"} if a.get(key) != b.get(key))
+        if fields:
+            differences.append(f"constants_table row n={a.get('n')} differs in {', '.join(fields)}")
     if [c["id"] for c in old["checks"]] != [c["id"] for c in new["checks"]]:
         differences.append("check ids or their order differ")
     else:
@@ -63,10 +73,15 @@ def main(argv: list[str]) -> int:
         found = _THRESHOLD.findall(a["anchor"])
         scale = float(found[-1]) if found else a["margin"]
         worst[family] = max(worst[family], (a["margin"] - b["margin"]) / math.ulp(scale))
-    print(f"{len(old['checks'])} checks; ids, anchors, order, verdicts, summary and constants_table equal")
+    print(f"{len(old['checks'])} checks; ids, anchors, order, verdicts, summary and constants_table "
+          "but i_quad equal")
     for family in sorted(changed):
         print(f"{family}: {changed[family]} margins changed, {lower[family]} lower, "
               f"largest drop {worst[family]:.2f} ulps of the threshold")
+    moves = [abs(b["i_quad"] - a["i_quad"]) / abs(a["i_quad"]) for a, b in zip(old_rows, new_rows)
+             if a.get("i_quad") != b.get("i_quad")]
+    if moves:
+        print(f"i_quad: {len(moves)} of {len(old_rows)} changed, largest relative move {max(moves):.2e}")
     return 0
 
 
