@@ -26,7 +26,7 @@ from .checks import (
 )
 from .interval import PI, DomainError, Interval
 from .quadrature import composite_simpson
-from .roots import N_MAX, find_alpha, theta_interval, alpha_interval
+from .roots import alpha_interval, find_alpha, phi, phi_iv, theta_interval
 
 ENVELOPE_X_MAX = 8.0  # right end of the envelope proof (Prop 2.3)
 
@@ -42,11 +42,10 @@ def f(x: float) -> float:
 
 
 def df(x: float) -> float:
-    """f'(x) = sin(1/x) - (1/x) cos(1/x)."""
+    """f'(x) = phi(1/x) = sin(1/x) - (1/x) cos(1/x)."""
     if x <= 0.0:
         raise DomainError(f"df requires x > 0, got {x!r}")
-    t = 1.0 / x
-    return math.sin(t) - t * math.cos(t)
+    return phi(1.0 / x)
 
 
 def ddf(x: float) -> float:
@@ -67,22 +66,19 @@ def f_iv(x: Interval) -> Interval:
 
 
 def df_iv(x: Interval) -> Interval:
-    t = _recip(x)
-    return iv.sin(t) - t * iv.cos(t)
+    return phi_iv(_recip(x))
 
 
 # -- quotient records ----------------------------------------------------------
 
 
 class QuotientRecord(NamedTuple):
-    """A candidate maximizer of |f(x)-f(y)| / |y-x|^alpha_exp."""
+    """The best pair x < y found on the piece J_n, and its quotient q."""
 
+    n: int
     x: float
     y: float
-    alpha_exp: float
     q: float
-    interval_index: int
-    provenance: str
 
 
 def _piece_end(k: int) -> float:
@@ -95,52 +91,15 @@ def piece_bounds(n: int, x_cap: float) -> tuple[float, float]:
     return _piece_end(n + 1), x_cap if n == 0 else _piece_end(n)
 
 
-def classify_index(x: float) -> int:
-    """The n with x in J_n as piece_bounds gives it (0 for x >= 1/alpha_1)."""
-    if x <= 0.0:
-        raise DomainError(f"classify_index requires x > 0, got {x!r}")
-    if x >= _piece_end(1):
-        return 0
-    t = 1.0 / x
-    if t > (N_MAX + 1) * math.pi:
-        raise DomainError(f"x={x!r} below the certified range (n > {N_MAX})")
-    n = max(1, min(int((t - math.pi / 2) / math.pi), N_MAX - 1))
-    while n < N_MAX and x < _piece_end(n + 1):
-        n += 1
-    while n > 1 and x >= _piece_end(n):
-        n -= 1
-    if n == N_MAX:
-        raise DomainError(f"x={x!r} below the certified range (n > {N_MAX})")
-    return n
-
-
-def quotient(x: float, y: float, alpha_exp: float = 0.5, provenance: str = "grid") -> QuotientRecord:
-    """Two-point quotient |f(x)-f(y)| / |y-x|^alpha_exp, with piece index."""
+def quotient(x: float, y: float, alpha_exp: float = 0.5) -> float:
+    """Two-point quotient |f(x)-f(y)| / |y-x|^alpha_exp."""
     if x <= 0.0 or y <= 0.0:
         raise DomainError("quotient requires x, y > 0")
     if x == y:
         raise DomainError("quotient requires x != y")
     if not 0.0 < alpha_exp <= 0.5:
         raise DomainError(f"alpha_exp must lie in (0, 1/2], got {alpha_exp!r}")
-    if x > y:
-        x, y = y, x
-    q = abs(f(x) - f(y)) / (y - x) ** alpha_exp
-
-    def index_of(v: float) -> int | None:
-        try:
-            return classify_index(v)
-        except DomainError:
-            return None  # below the certified piece range; treated as straddling
-
-    ix, iy = index_of(x), index_of(y)
-    return QuotientRecord(
-        x=x,
-        y=y,
-        alpha_exp=alpha_exp,
-        q=q,
-        interval_index=ix if (ix is not None and ix == iy) else -1,
-        provenance=provenance,
-    )
+    return abs(f(x) - f(y)) / abs(y - x) ** alpha_exp
 
 
 # -- Wirtinger (numerical oracle check) ---------------------------------------
@@ -159,7 +118,7 @@ def wirtinger_for_interval(n: int) -> CheckResult:
     interval ends are stationary points of f).
     """
     lhs, rhs = _wirtinger_sides(
-        lambda t: [(math.sin(u) - u * math.cos(u)) ** 2 for u in (1.0 / x for x in t)],
+        lambda t: [phi(1.0 / x) ** 2 for x in t],
         lambda t: [(math.sin(1.0 / x) / x**3) ** 2 for x in t],
         *piece_bounds(n, math.inf),
     )

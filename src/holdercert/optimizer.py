@@ -13,7 +13,6 @@ checks this on random cross pairs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .checks import CheckResult, analytic_pass, certified_less
@@ -128,8 +127,8 @@ def critical_pair(n: int) -> QuotientRecord | None:
                 found.append((x, y, res))
     if not found:
         return None
-    best = max(found, key=lambda t: (quotient(t[0], t[1]).q, -t[0], -t[1]))
-    return quotient(best[0], best[1], provenance="newton")
+    x, y, _ = max(found, key=lambda t: (quotient(t[0], t[1]), -t[0], -t[1]))
+    return QuotientRecord(n, x, y, quotient(x, y))
 
 
 def _quotients(xa, fa, xb, fb, alpha_exp: float) -> np.ndarray:
@@ -329,13 +328,13 @@ def _coordinate_descent(
 
 
 def _piece_sups(ns: range, grid_resolution: int, x_cap: float, alpha_exp: float) -> list[QuotientRecord]:
-    """Max of the quotient over each piece J_n, n in ns: one grid sweep
+    """The record of each piece J_n, n in ns, its best pair: one grid sweep
     for all pieces, then one lockstep descent for all pieces."""
     bounds = [piece_bounds(n, x_cap) for n in ns]
     h0 = [(hi - lo) / (grid_resolution - 1) for lo, hi in bounds]
     starts = _grid_sweep(bounds, grid_resolution, alpha_exp)
     pairs = _coordinate_descent(starts, bounds, h0, alpha_exp)
-    return [quotient(x, y, alpha_exp, provenance="grid") for x, y in pairs]
+    return [QuotientRecord(n, x, y, quotient(x, y, alpha_exp)) for n, (x, y) in zip(ns, pairs)]
 
 
 class SupremumReport(NamedTuple):
@@ -343,7 +342,7 @@ class SupremumReport(NamedTuple):
 
     sup_estimate: float
     arg: QuotientRecord
-    per_interval: list[tuple[int, QuotientRecord]]
+    per_interval: list[QuotientRecord]  # J_0 .. J_N in order
     method_breakdown: dict[str, int]
     bound_certificate: float | None  # None off alpha 1/2: no certified bound
     tail_checks: list[CheckResult]
@@ -392,10 +391,7 @@ def global_sup(
         raise ConfigError(f"alpha_exp must lie in (0, 1/2], got {alpha_exp!r}")
 
     records = _piece_sups(range(n_intervals + 1), grid_resolution, x_cap, alpha_exp)
-    per_interval = list(enumerate(records))
-
-    _, best_arg = min(per_interval, key=lambda t: (-t[1].q, t[0], t[1].x, t[1].y))
-    breakdown = dict(Counter(arg.provenance for arg in records))
+    arg = min(records, key=lambda r: (-r.q, r.n, r.x, r.y))
 
     if alpha_exp == 0.5:
         tail = tail_constant_certificate() + _far_pair_certificates()
@@ -404,10 +400,10 @@ def global_sup(
         tail = []
         bound = None
     return SupremumReport(
-        sup_estimate=best_arg.q,
-        arg=best_arg,
-        per_interval=per_interval,
-        method_breakdown=breakdown,
+        sup_estimate=arg.q,
+        arg=arg,
+        per_interval=records,
+        method_breakdown={"grid": n_intervals + 1},  # every piece is searched by the sweep and the descent
         bound_certificate=bound,
         tail_checks=tail,
         alpha_exp=alpha_exp,

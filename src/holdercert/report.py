@@ -98,7 +98,7 @@ def supremum_dict(s: SupremumReport) -> dict:
         "alpha_exp": s.alpha_exp,
         "sup_estimate": s.sup_estimate,
         "arg": s.arg._asdict(),
-        "per_interval": [{"n": n, "sup": a.q, "arg": a._asdict()} for n, a in s.per_interval],
+        "per_interval": [r._asdict() for r in s.per_interval],
         "method_breakdown": s.method_breakdown,
         "bound_certificate": s.bound_certificate,
         "tail_checks": [_check_dict(c) for c in s.tail_checks],

@@ -2,6 +2,7 @@
 command runs.  The test modules import them as ``from oracles import ...``
 (pytest puts ``tests/`` on ``sys.path``); this module holds no tests.
 
+- ``classify_index``: the piece J_n that holds a point;
 - ``remap``: the monotone remap of a cross-piece pair into one piece, which
   the proof's reduction to per-piece suprema rests on;
 - ``ddf_iv``: an interval form of f'';
@@ -26,15 +27,15 @@ from holdercert import interval as iv
 from holdercert import quadrature
 from holdercert.holder import (
     QuotientRecord,
+    _piece_end,
     _recip,
-    classify_index,
     f,
     piece_bounds,
     quotient,
 )
 from holdercert.interval import DomainError, Interval, decimal
 from holdercert.optimizer import ConfigError, _piece_sups
-from holdercert.roots import find_alpha
+from holdercert.roots import N_MAX, find_alpha
 
 ORACLE_RESOLUTION_CAP = 2**14
 
@@ -45,6 +46,25 @@ def ddf_iv(x: Interval) -> Interval:
 
 
 # -- monotone remap ------------------------------------------------------------
+
+
+def classify_index(x: float) -> int:
+    """The n with x in J_n as piece_bounds gives it (0 for x >= 1/alpha_1)."""
+    if x <= 0.0:
+        raise DomainError(f"classify_index requires x > 0, got {x!r}")
+    if x >= _piece_end(1):
+        return 0
+    t = 1.0 / x
+    if t > (N_MAX + 1) * math.pi:
+        raise DomainError(f"x={x!r} below the certified range (n > {N_MAX})")
+    n = max(1, min(int((t - math.pi / 2) / math.pi), N_MAX - 1))
+    while n < N_MAX and x < _piece_end(n + 1):
+        n += 1
+    while n > 1 and x >= _piece_end(n):
+        n -= 1
+    if n == N_MAX:
+        raise DomainError(f"x={x!r} below the certified range (n > {N_MAX})")
+    return n
 
 
 class RemapFailure(Exception):
@@ -170,7 +190,7 @@ def brute_grid_oracle(
         if vals[bi, bj] > best_q:
             best_q = float(vals[bi, bj])
             best_x, best_y = float(xs[start + bi]), float(xs[bj])
-    return best_q, quotient(best_x, best_y, provenance="grid")
+    return best_q, QuotientRecord(n, best_x, best_y, quotient(best_x, best_y))
 
 
 def spot_check_max(n_pairs: int, lo: float, hi: float, seed: int = 20240901) -> float:

@@ -292,6 +292,19 @@ class TestNorm:
         assert data["sup_estimate"] >= math.sqrt(2.0 / math.pi) - 1e-9
         assert {"arg", "per_interval", "method_breakdown", "bound_certificate"} <= set(data)
 
+    @pytest.mark.parametrize("alpha, resolution", [(0.5, 512), (0.35, 64), (0.25, 65)])
+    def test_one_row_per_piece(self, tmp_path, alpha, resolution):
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--alpha", str(alpha), "--resolution", str(resolution), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        rows = data["per_interval"]
+        assert [list(row) for row in rows] == [["n", "x", "y", "q"]] * 201
+        assert [row["n"] for row in rows] == list(range(201))
+        assert data["arg"] in rows
+        want = global_sup(200, 8.0, resolution, alpha)
+        assert rows == [rec._asdict() for rec in want.per_interval]
+        assert data["arg"] == want.arg._asdict()
+
     def test_alternate_exponent_runs(self, tmp_path):
         out = tmp_path / "norm04.json"
         assert main(["norm", "--alpha", "0.4", "--n", "2", "--resolution", "64", "--out", str(out)]) == 0
@@ -510,7 +523,7 @@ class TestRecords:
         CheckResult: ("check_id", "anchor", "verdict", "margin"),
         RootCertificate: ("n", "bracket", "alpha", "theta", "residual"),
         ConstantsRow: ("n", "alpha_n", "alpha_np1", "delta", "i_closed", "i_quad", "g", "correction", "c"),
-        QuotientRecord: ("x", "y", "alpha_exp", "q", "interval_index", "provenance"),
+        QuotientRecord: ("n", "x", "y", "q"),
         SupremumReport: (
             "sup_estimate", "arg", "per_interval", "method_breakdown", "bound_certificate", "tail_checks", "alpha_exp"
         ),

@@ -54,8 +54,58 @@ def test_one_lowered_margin(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == [
         EQUAL_LINE,
-        "L1.4: 1 margins changed, 1 lower, largest drop 2.00 ulps of the threshold",
+        "L1.4: 1 margins changed, 1 lower, largest drop 2.00 and largest rise 0.00 ulps of the threshold",
     ]
+
+
+def test_all_margins_rose(tmp_path):
+    # a family whose margins all went up reports the size of the rise
+    new = copy.deepcopy(REPORT)
+    new["checks"][0]["margin"] = 0.25 + 3 * math.ulp(34.6)
+    new["checks"][1]["margin"] = 0.5 + math.ulp(84.22)
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        EQUAL_LINE,
+        "L1.4: 2 margins changed, 0 lower, largest drop 0.00 and largest rise 3.00 ulps of the threshold",
+    ]
+
+
+def test_margin_without_threshold(tmp_path):
+    # an anchor with no "< t" or "> t": the move is relative to the old margin
+    new = copy.deepcopy(REPORT)
+    new["checks"][2]["margin"] = 1e-12 * (1 + 2.2e-11)
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        EQUAL_LINE,
+        "prop-ineq: 1 margins changed, 0 lower, largest drop 0.00e+00 and largest rise 2.20e-11 relative to the margin",
+    ]
+
+
+def test_both_kinds_in_one_family(tmp_path):
+    old = copy.deepcopy(REPORT)
+    old["checks"][1]["anchor"] = "Lemma 1.4 for n = 2"
+    new = copy.deepcopy(old)
+    new["checks"][0]["margin"] = 0.25 - math.ulp(34.6)
+    new["checks"][1]["margin"] = 0.375
+    proc = _compare(tmp_path, old, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        EQUAL_LINE,
+        "L1.4: 2 margins changed, 2 lower, largest drop 1.00 and largest rise 0.00 ulps of the threshold, "
+        "largest drop 2.50e-01 and largest rise 0.00e+00 relative to the margin",
+    ]
+
+
+def test_move_off_a_zero_margin(tmp_path):
+    old = copy.deepcopy(REPORT)
+    old["checks"][2]["margin"] = 0.0
+    proc = _compare(tmp_path, old, REPORT)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == (
+        "prop-ineq: 1 margins changed, 0 lower, largest drop 0.00e+00 and largest rise inf relative to the margin"
+    )
 
 
 @pytest.mark.parametrize("field, value", [("anchor", "alpha_2 alpha_3 > 84.2"), ("verdict", "undecided")])

@@ -13,7 +13,6 @@ from holdercert.holder import (
     ENVELOPE_X_MAX,
     check_envelope,
     check_nesting,
-    classify_index,
     ddf,
     df,
     df_iv,
@@ -33,7 +32,7 @@ from holdercert.roots import (
     find_alpha,
     theta_interval,
 )
-from oracles import ddf_iv, remap
+from oracles import classify_index, ddf_iv, remap
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,15 +92,13 @@ class TestFunction:
 
 class TestQuotient:
     def test_tail_pair_vanishes(self):
-        rec = quotient(2.0 / math.pi, 1e9)
-        assert rec.q == pytest.approx(1.1491091763546708e-5, rel=1e-9)
+        assert quotient(2.0 / math.pi, 1e9) == pytest.approx(1.1491091763546708e-5, rel=1e-9)
 
     def test_small_y_witness(self):
         # f(2/pi) = 2/pi exactly, so the pair approaches sqrt(2/pi)
-        rec = quotient(1e-12, 2.0 / math.pi)
-        assert rec.q == pytest.approx(0.7978845608042581, rel=1e-12)
-        assert rec.q == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-11)
-        assert rec.interval_index == -1  # 1e-12 is below the certified pieces
+        q = quotient(1e-12, 2.0 / math.pi)
+        assert q == pytest.approx(0.7978845608042581, rel=1e-12)
+        assert q == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-11)
 
     def test_below_global_bound(self):
         rng = random.Random(5)
@@ -109,27 +106,7 @@ class TestQuotient:
             x, y = rng.uniform(1e-2, 50.0), rng.uniform(1e-2, 50.0)
             if x == y:
                 continue
-            assert quotient(x, y).q <= SQRT2 + 1e-9
-
-    def test_classification(self):
-        a1 = find_alpha(1).alpha
-        a2 = find_alpha(2).alpha
-        assert classify_index(1.0 / a1) == 0
-        assert classify_index(0.999999 / a1) == 1
-        assert classify_index(0.5 * (1.0 / a1 + 1.0 / a2)) == 1
-        assert classify_index(5.0) == 0
-        rec = quotient(0.5 * (1.0 / a1 + 1.0 / a2), 5.0)
-        assert rec.interval_index == -1
-
-    def test_membership_matches_piece_bounds(self):
-        # J_n = [lo, hi) exactly as piece_bounds gives it, at both float ends
-        wrong = []
-        for n in [*range(1, 2001), 9998]:
-            lo, hi = piece_bounds(n, 8.0)
-            got = classify_index(lo), classify_index(math.nextafter(hi, 0.0)), classify_index(hi)
-            if got != (n, n, n - 1):
-                wrong.append((n, got))
-        assert wrong == []
+            assert quotient(x, y) <= SQRT2 + 1e-9
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -138,8 +115,8 @@ class TestQuotient:
             quotient(1.0, 2.0, alpha_exp=0.7)
 
     def test_normalizes_order(self):
-        rec = quotient(3.0, 1.0)
-        assert rec.x == 1.0 and rec.y == 3.0
+        assert quotient(3.0, 1.0) == quotient(1.0, 3.0)
+        assert quotient(3.0, 1.0, 0.25) == quotient(1.0, 3.0, 0.25)
 
 
 class TestWirtinger:
@@ -457,6 +434,26 @@ class TestOneVerdictPerCheck:
 
 
 class TestRemap:
+    def test_classification(self):
+        a1 = find_alpha(1).alpha
+        a2 = find_alpha(2).alpha
+        assert classify_index(1.0 / a1) == 0
+        assert classify_index(0.999999 / a1) == 1
+        assert classify_index(0.5 * (1.0 / a1 + 1.0 / a2)) == 1
+        assert classify_index(5.0) == 0
+        with pytest.raises(DomainError):
+            classify_index(1e-12)  # below the certified pieces
+
+    def test_membership_matches_piece_bounds(self):
+        # J_n = [lo, hi) exactly as piece_bounds gives it, at both float ends
+        wrong = []
+        for n in [*range(1, 2001), 9998]:
+            lo, hi = piece_bounds(n, 8.0)
+            got = classify_index(lo), classify_index(math.nextafter(hi, 0.0)), classify_index(hi)
+            if got != (n, n, n - 1):
+                wrong.append((n, got))
+        assert wrong == []
+
     def test_identity_same_piece(self):
         a2, a1 = find_alpha(2).alpha, find_alpha(1).alpha
         x, y = 1.0 / a2 + 1e-3, 1.0 / a1 - 1e-3
@@ -507,7 +504,7 @@ class TestRemap:
             assert abs(f(y2) - f(x2)) == pytest.approx(abs(f(y) - f(x)), abs=1e-10)
             # the quotient can only improve when the distance shrinks
             if x2 != y2:
-                assert quotient(x2, y2).q >= quotient(x, y).q - 1e-10
+                assert quotient(x2, y2) >= quotient(x, y) - 1e-10
         assert checked > 200
 
     def test_validation(self):

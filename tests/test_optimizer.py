@@ -2,6 +2,7 @@
 reduced global search.  Frozen pair coordinates come from 30-digit mpmath
 root finding on the stationarity system."""
 
+import functools
 import math
 import tracemalloc
 
@@ -21,7 +22,7 @@ from holdercert.optimizer import (
     global_sup,
 )
 from holdercert.roots import N_MAX, find_alpha
-from oracles import brute_grid_oracle, interval_sup, remap, spot_check_max
+from oracles import brute_grid_oracle, classify_index, interval_sup, remap, spot_check_max
 
 SQRT2 = math.sqrt(2.0)
 
@@ -42,7 +43,7 @@ class TestCriticalPairs:
         assert rec.x == pytest.approx(J1_PAIR[0], abs=1e-9)
         assert rec.y == pytest.approx(J1_PAIR[1], abs=1e-9)
         assert rec.q == pytest.approx(J1_PAIR[2], rel=1e-10)
-        assert rec.provenance == "newton"
+        assert rec.n == 1 and rec.q == quotient(rec.x, rec.y)
         assert stationarity_residual(rec.x, rec.y) <= 1e-10
 
     def test_j1_localization(self):
@@ -58,6 +59,7 @@ class TestCriticalPairs:
         assert rec.x == pytest.approx(J0_PAIR[0], abs=1e-9)
         assert rec.y == pytest.approx(J0_PAIR[1], abs=1e-9)
         assert rec.q == pytest.approx(J0_PAIR[2], rel=1e-10)
+        assert rec.n == 0 and rec.q == quotient(rec.x, rec.y)
         assert stationarity_residual(rec.x, rec.y) <= 1e-10
 
     def test_j0_slope_window(self):
@@ -84,8 +86,7 @@ class TestIntervalSup:
             1.0 / c1.alpha - 1.0 / c2.alpha
         )
         assert expected == pytest.approx(1.1326696141125898, rel=1e-12)
-        rec = quotient(1.0 / c2.alpha, 1.0 / c1.alpha)
-        assert rec.q == pytest.approx(expected, rel=1e-12)
+        assert quotient(1.0 / c2.alpha, 1.0 / c1.alpha) == pytest.approx(expected, rel=1e-12)
 
     def test_sup_1_bounds(self):
         sup1, _ = interval_sup(1, 256)
@@ -131,7 +132,7 @@ class TestSearchDominates:
             if rec is not None:
                 assert q >= rec.q, n
             if n >= 1:
-                assert q >= quotient(*piece_bounds(n, x_cap)).q, n
+                assert q >= quotient(*piece_bounds(n, x_cap)), n
 
 
 # -- the per-piece search as it was before batching, kept as the reference ----
@@ -488,8 +489,8 @@ class TestGlobalSup:
         assert rep.arg.q == rep.sup_estimate
         assert rep.bound_certificate == pytest.approx(math.sqrt(1.83012), rel=1e-12)
         assert all(r.verdict == PASSED for r in rep.tail_checks)
-        assert [n for n, _ in rep.per_interval] == list(range(21))
-        assert rep.sup_estimate == max(rec.q for _, rec in rep.per_interval)
+        assert [rec.n for rec in rep.per_interval] == list(range(21))
+        assert rep.sup_estimate == max(rec.q for rec in rep.per_interval)
         assert sum(rep.method_breakdown.values()) == 21
 
     @pytest.mark.parametrize(
@@ -500,11 +501,11 @@ class TestGlobalSup:
         # the search's default inputs, as `holdercert norm --alpha` runs them
         rep = global_sup(200, 8.0, 512, alpha_exp)
         assert rep.sup_estimate == pytest.approx(sup, rel=1e-15, abs=0.0)
-        assert rep.arg == rep.per_interval[0][1]  # the maximum sits on J_0
+        assert rep.arg == rep.per_interval[0]  # the maximum sits on J_0
 
     def test_per_interval_decreasing(self):
         rep = global_sup(10, 8.0, 256)
-        sups = {n: rec.q for n, rec in rep.per_interval}
+        sups = {rec.n: rec.q for rec in rep.per_interval}
         assert sups[10] <= sups[2] + 1e-9
 
     def test_deterministic(self):
@@ -574,6 +575,33 @@ class TestGlobalSup:
             global_sup(N_MAX)
 
 
+@functools.lru_cache(maxsize=None)
+def _searched(alpha_exp: float, resolution: int):
+    return global_sup(200, 8.0, resolution, alpha_exp)
+
+
+@pytest.mark.parametrize("alpha_exp, resolution", [(0.5, 512), (0.35, 64), (0.25, 65)])
+class TestPieceRecords:
+    """Each record is the piece it was searched on, a pair inside that piece
+    and the pair's quotient; arg is the largest record."""
+
+    def test_numbered_in_order(self, alpha_exp, resolution):
+        assert [rec.n for rec in _searched(alpha_exp, resolution).per_interval] == list(range(201))
+
+    def test_pair_inside_its_piece(self, alpha_exp, resolution):
+        for rec in _searched(alpha_exp, resolution).per_interval:
+            lo, hi = piece_bounds(rec.n, 8.0)
+            assert lo <= rec.x < rec.y <= hi, rec
+            assert rec.q == quotient(rec.x, rec.y, alpha_exp), rec
+
+    def test_arg_is_the_maximum(self, alpha_exp, resolution):
+        rep = _searched(alpha_exp, resolution)
+        assert rep.arg in rep.per_interval
+        assert rep.sup_estimate == rep.arg.q == max(rec.q for rec in rep.per_interval)
+        # ties go to the first piece
+        assert rep.arg.n == min(rec.n for rec in rep.per_interval if rec.q == rep.arg.q)
+
+
 class TestReductionSoundness:
     def test_remapped_quotient_dominated(self):
         import random
@@ -588,19 +616,18 @@ class TestReductionSoundness:
             if x == y:
                 continue
             x, y = min(x, y), max(x, y)
-            rec = quotient(x, y)
-            if rec.interval_index != -1:
+            if classify_index(x) == classify_index(y):
                 continue
             checked += 1
             x2, y2 = remap(x, y)
-            rec2 = quotient(x2, y2, provenance="remap")
-            assert rec2.q >= rec.q - 1e-10
-            k = rec2.interval_index
-            assert k != -1
+            q2 = quotient(x2, y2)
+            assert q2 >= quotient(x, y) - 1e-10
+            k = classify_index(x2)
+            assert classify_index(y2) == k
             if k >= 1:
                 if k not in sup_cache:
                     sup_cache[k] = interval_sup(k, 128)[0]
-                assert sup_cache[k] >= rec2.q - 1e-6
+                assert sup_cache[k] >= q2 - 1e-6
         assert checked > 50
 
     def test_spot_check_below_bound(self):

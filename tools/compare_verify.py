@@ -9,12 +9,13 @@ and then prints what differs: each check whose anchor or verdict differs (or
 that the ids or their order do), whether summary does, and each constants
 row that differs beyond i_quad (or that the row count does).  Otherwise
 exits 0 and prints, per family (the id up to its first "/"), how many
-margins changed, how many went down, and the largest drop in ulps of the
-check's threshold (the last "< t" or "> t" of its anchor, or of the margin
-itself where the anchor has none); and, if any i_quad changed, how many did
-and the largest relative move.  Exits 2, with a usage line on stderr, when
-it is not given two paths, cannot read either as JSON, or either is not a
-verify report: a JSON object with checks, summary and constants_table.
+margins changed, how many went down, and the largest drop and the largest
+rise: in ulps of the check's threshold (the last "< t" or "> t" of its
+anchor), or relative to the old margin where the anchor has none; and, if
+any i_quad changed, how many did and the largest relative move.  Exits 2,
+with a usage line on stderr, when it is not given two paths, cannot read
+either as JSON, or either is not a verify report: a JSON object with checks,
+summary and constants_table.
 """
 
 import json
@@ -26,6 +27,7 @@ from collections import defaultdict
 _THRESHOLD = re.compile(r"[<>] (\d+(?:\.\d+)?)")
 USAGE = "usage: python tools/compare_verify.py OLD.json NEW.json"
 REPORT_KEYS = {"checks", "summary", "constants_table"}
+ULPS, RELATIVE = "ulps of the threshold", "relative to the margin"
 
 
 def _load(path: str):
@@ -63,21 +65,28 @@ def main(argv: list[str]) -> int:
         print("reports differ beyond their margins")
         print("\n".join(differences))
         return 1
-    changed, lower, worst = defaultdict(int), defaultdict(int), defaultdict(float)
+    changed, lower = defaultdict(int), defaultdict(int)
+    shifts = defaultdict(lambda: {ULPS: [], RELATIVE: []})  # signed margin moves per family and unit
     for a, b in zip(old["checks"], new["checks"]):
         if a["margin"] == b["margin"]:
             continue
         family = a["id"].split("/")[0]
         changed[family] += 1
         lower[family] += b["margin"] < a["margin"]
-        found = _THRESHOLD.findall(a["anchor"])
-        scale = float(found[-1]) if found else a["margin"]
-        worst[family] = max(worst[family], (a["margin"] - b["margin"]) / math.ulp(scale))
+        found, move = _THRESHOLD.findall(a["anchor"]), b["margin"] - a["margin"]
+        if found:
+            shifts[family][ULPS].append(move / math.ulp(float(found[-1])))
+        else:  # a move off a zero margin is infinite
+            shifts[family][RELATIVE].append(move / abs(a["margin"]) if a["margin"] else math.copysign(math.inf, move))
     print(f"{len(old['checks'])} checks; ids, anchors, order, verdicts, summary and constants_table "
           "but i_quad equal")
     for family in sorted(changed):
-        print(f"{family}: {changed[family]} margins changed, {lower[family]} lower, "
-              f"largest drop {worst[family]:.2f} ulps of the threshold")
+        sizes = [
+            f"largest drop {max(0.0, -min(m)):{form}} and largest rise {max(0.0, max(m)):{form}} {unit}"
+            for unit, form in ((ULPS, ".2f"), (RELATIVE, ".2e"))
+            if (m := shifts[family][unit])
+        ]
+        print(f"{family}: {changed[family]} margins changed, {lower[family]} lower, {', '.join(sizes)}")
     moves = [abs(b["i_quad"] - a["i_quad"]) / abs(a["i_quad"]) for a, b in zip(old_rows, new_rows)
              if a.get("i_quad") != b.get("i_quad")]
     if moves:
