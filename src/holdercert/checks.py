@@ -10,15 +10,10 @@ of several inequalities (a chain, Lemmas 1.2 and 1.3, the nesting step)
 passes all its differences to one call, so each report row is one result.
 An ``==`` agreement is the chain -1e-12 < lhs - rhs < 1e-12, and a decimal
 of the proof enters a comparison as its enclosure ``interval.decimal``.
-
-``subdivide`` is the one adaptive-bisection engine, and ``prove_boxes``
-the one verdict built on it: every box proof goes through it.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
 from .interval import Interval
@@ -26,7 +21,6 @@ from .interval import Interval
 PASSED = "passed"
 FAILED = "failed"
 UNDECIDED = "undecided"
-SUBDIVISION_BUDGET = 1_000_000  # boxes one box proof may process
 EQUAL_TOL = Interval.point(1e-12)  # half-width of certified_equal's band, as a point
 
 
@@ -75,55 +69,3 @@ def certified_equal(check_id: str, anchor: str, lhs: Interval, rhs: Interval) ->
 def analytic_pass(check_id: str, anchor: str) -> CheckResult:
     """Record a step discharged by exact reasoning rather than arithmetic."""
     return CheckResult(check_id, anchor, PASSED, 0.0)
-
-
-def merge_results(check_id: str, anchor: str, *results: CheckResult) -> CheckResult:
-    """Combine evidence of different kinds: worst verdict wins, margin is the weakest."""
-    verdict = PASSED
-    for r in results:
-        if r.verdict == FAILED:
-            verdict = FAILED
-            break
-        if r.verdict == UNDECIDED:
-            verdict = UNDECIDED
-    return CheckResult(check_id, anchor, verdict, min(r.margin for r in results))
-
-
-def subdivide(
-    margin: Callable[[Interval], float], boxes: Iterable[Interval]
-) -> Iterator[tuple[Interval, float]]:
-    """Bisect depth first until margin(box) > 0; yield (leaf, margin(leaf)).
-
-    A box stops splitting once ``SUBDIVISION_BUDGET`` boxes have been
-    processed or when its midpoint is not strictly inside it; it is then
-    an unproved leaf.
-    """
-    stack = list(boxes)
-    processed = 0
-    while stack:
-        box = stack.pop()
-        processed += 1
-        value = margin(box)
-        if not value > 0.0 and processed < SUBDIVISION_BUDGET:
-            m = box.mid
-            if box.lo < m < box.hi:
-                stack.append(Interval(box.lo, m))
-                stack.append(Interval(m, box.hi))
-                continue
-        yield box, value
-
-
-def prove_boxes(
-    check_id: str, anchor: str, margin: Callable[[Interval], float], boxes: Iterable[Interval]
-) -> CheckResult:
-    """Certify margin > 0 over the boxes by ``subdivide``, one budget per call.
-
-    Passed iff every leaf's margin is above 0, otherwise undecided; the
-    margin is the weakest leaf's.
-    """
-    verdict, worst = PASSED, math.inf
-    for _, value in subdivide(margin, boxes):
-        worst = min(worst, value)
-        if not value > 0.0:
-            verdict = UNDECIDED
-    return CheckResult(check_id, anchor, verdict, worst)

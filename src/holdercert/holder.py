@@ -14,21 +14,10 @@ import math
 from typing import NamedTuple
 
 from . import interval as iv
-from .checks import (
-    CheckResult,
-    FAILED,
-    PASSED,
-    analytic_pass,
-    certified_less,
-    certified_positive,
-    merge_results,
-    prove_boxes,
-)
+from .checks import CheckResult, FAILED, PASSED, certified_less, certified_positive
 from .interval import PI, DomainError, Interval
 from .quadrature import composite_simpson
 from .roots import alpha_interval, find_alpha, phi, phi_iv, theta_interval
-
-ENVELOPE_X_MAX = 8.0  # right end of the envelope proof (Prop 2.3)
 
 
 # -- f and derivatives ---------------------------------------------------------
@@ -148,62 +137,56 @@ def wirtinger_equality_case() -> CheckResult:
     )
 
 
-# -- concave envelope: f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, x_max) -------------
+# -- concave envelope: f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, inf) ----------------
 
-_STRIP = 1e-3  # mean-value strip at the left edge, discharged analytically
+# region edges of the envelope proof, as float points
+_TANGENT_END = 0.45
+_CHORD_END = 1.5
 
 
 def check_envelope() -> list[CheckResult]:
-    """Certify f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, x_max], three regimes,
-    plus concavity of f there (f'' <= 0, i.e. sin(1/x) >= 0); x_max is
-    ENVELOPE_X_MAX.
+    """Certify f(x) <= sqrt(2 (x - 1/pi)) on [1/pi, inf) in three regions,
+    plus the concavity of f that the first one uses; one interval verdict each.
 
-    The left strip [1/pi, s] with s ~ 1/pi + 1e-3 is the mean-value regime:
-    f(1/pi) = 0 exactly, f' <= f'(1/pi) = pi by concavity, so
-    f(x) <= pi eps <= sqrt(2 eps) as long as pi^2 eps <= 2, which is
-    certified for eps = s - 1/pi.  Every box from s on is certified
-    directly: the envelope is increasing, so max f over the box is
-    compared with the envelope at the box's left edge.
+    Tangent, [1/pi, t]: f'' = -sin(1/x)/x^3 <= 0, f(1/pi) = sin(pi)/pi = 0 and
+    f'(1/pi) = phi(pi), so f(x) <= phi(pi) (x - 1/pi) <= sqrt(2 (x - 1/pi))
+    while phi(pi)^2 (x - 1/pi) <= 2, which is checked at x = t.
+    Chord, [t, c]: f(x) <= x < sqrt(2 (x - 1/pi)) iff 2x - x^2 - 2/pi > 0;
+    that is concave in x, so its two ends prove it on the whole region.
+    Far, [c, inf): f(x) < 1 (sin u < u) and 1 < 2 (c - 1/pi).
     """
-    # regime edges (floats); each regime is proved from its own start box
-    e1 = 1.0 / math.pi + 2.0 / math.pi**2
-    e2 = 1.0 / math.pi + 0.5
-    x_max = ENVELOPE_X_MAX
     inv_pi = 1 / PI
-    strip_end = inv_pi.hi + _STRIP
+    t, c = Interval.point(_TANGENT_END), Interval.point(_CHORD_END)
 
-    def envelope_margin(box: Interval) -> float:
-        rhs = iv.sqrt((Interval.point(box.lo) - inv_pi) * 2)
-        return (rhs - f_iv(box)).lo
+    def chord(x: Interval) -> Interval:
+        return x * 2 - x**2 - inv_pi * 2
 
-    regime1 = "P2.3/regime1", "Prop 2.3, (2.10) on [1/pi, 1/pi + 2/pi^2] (mean-value regime + boxes)"
     return [
-        # the mean-value strip (pi^2 * width < 2, and f(1/pi) = sin(pi)/pi = 0 exactly), then boxes
-        merge_results(
-            *regime1,
-            certified_less(*regime1, PI**2 * (Interval.point(strip_end) - inv_pi), Interval.point(2.0)),
-            analytic_pass(*regime1),
-            prove_boxes(*regime1, envelope_margin, [Interval(strip_end, e1)]),
+        certified_less(
+            "P2.3/regime1",
+            f"Prop 2.3, (2.10) on [1/pi, {_TANGENT_END:g}]: f below its tangent phi(pi)(x-1/pi) at 1/pi,"
+            " given f(1/pi) = sin(pi)/pi = 0",
+            phi_iv(PI) ** 2 * (t - inv_pi),
+            Interval.point(2.0),
         ),
-        prove_boxes(
+        certified_positive(
             "P2.3/regime2",
-            "Prop 2.3, (2.10) on (1/pi + 2/pi^2, 1/pi + 1/2]: f(x) < x < sqrt(2(x-1/pi))",
-            envelope_margin,
-            [Interval(e1, e2)],
+            f"Prop 2.3, (2.10) on [{_TANGENT_END:g}, {_CHORD_END:g}]: f(x) <= x < sqrt(2(x-1/pi))",
+            chord(t),
+            chord(c),
         ),
-        prove_boxes(
+        certified_less(
             "P2.3/regime3",
-            f"Prop 2.3, (2.10) on (1/pi + 1/2, {x_max:g}]: f(x) < 1 < sqrt(2(x-1/pi))",
-            envelope_margin,
-            [Interval(e2, x_max)],
+            f"Prop 2.3, (2.10) on [{_CHORD_END:g}, inf): f(x) < 1 < sqrt(2(x-1/pi))",
+            Interval.point(1.0),
+            (c - inv_pi) * 2,
         ),
-        # concavity: sin(1/x) >= 0 on [1/pi, x_max]; certified strictly inside,
-        # the sub-ulp edge [1/pi, (1/pi).hi] holds since x >= 1/pi <=> 1/x <= pi
-        prove_boxes(
+        # sin(1/x) > 0 strictly inside; the sub-ulp edge [1/pi, (1/pi).hi]
+        # holds since x >= 1/pi <=> 1/x <= pi
+        certified_positive(
             "P2.3/concavity",
-            f"Prop 2.3: f'' <= 0 on [1/pi, {x_max:g}] (sin(1/x) >= 0; boundary analytic)",
-            lambda box: iv.sin(1 / box).lo,
-            [Interval(inv_pi.hi, x_max)],
+            f"Prop 2.3: f'' <= 0 on [1/pi, {_TANGENT_END:g}] (sin(1/x) >= 0; boundary analytic)",
+            iv.sin(1 / Interval(inv_pi.hi, _TANGENT_END)),
         ),
     ]
 

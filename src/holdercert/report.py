@@ -14,13 +14,7 @@ from . import __version__
 from .checklist import check_proposition_inequalities
 from .checks import CheckResult, FAILED, PASSED, UNDECIDED
 from .constants import ConstantsRow, c_n, check_constants_suite, tail_constant_certificate
-from .holder import (
-    ENVELOPE_X_MAX,
-    check_envelope,
-    check_nesting,
-    wirtinger_equality_case,
-    wirtinger_for_interval,
-)
+from .holder import check_envelope, check_nesting, wirtinger_equality_case, wirtinger_for_interval
 from .interval import Interval
 from .optimizer import ConfigError, SupremumReport
 from .roots import (
@@ -76,11 +70,7 @@ def run_verification(n_max: int = 200) -> VerificationReport:
     table = [c_n(n) for n in range(1, n_max + 1)]
     return VerificationReport(
         tool_version=__version__,
-        config={
-            "n_max": n_max,
-            "envelope_x_max": ENVELOPE_X_MAX,
-            "wirtinger_n": min(n_max, WIRTINGER_N),
-        },
+        config={"n_max": n_max, "wirtinger_n": min(n_max, WIRTINGER_N)},
         checks=checks,
         constants_table=table,
     )

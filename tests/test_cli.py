@@ -99,12 +99,12 @@ class TestVerify:
         # the whole report, with its escapes undone
         unescaped = text.replace("\\|", "|").encode()
         assert hashlib.sha256(unescaped).hexdigest() == (
-            "6150183bc90a6396385757bfe69ef7376eb2c3f677a3306e2d268bc9ecc103fc"
+            "9b56986de164e33ab92bd4737e464be60d1edd81242f77e3ff0e62fafd72d025"
         )
         # the text above the constants table, pinned apart from the table
         checks = text[: text.index("## Constants")].encode()
         assert hashlib.sha256(checks).hexdigest() == (
-            "d5ec1352f25cc43b9f0910272fffce20e03fce31afc8675c0277489e67bd7ed1"
+            "c7930c918e9d53e7c2b9288205a17a3bb3cc1c7a95adecfb94c88633fcab15f5"
         )
 
     def test_determinism_small(self, tmp_path):
@@ -166,8 +166,7 @@ class TestVerify:
         report = run_verification(20)
         shown = {c.check_id for c in report.checks}
         assert [r.check_id for r in built if r.check_id not in shown] == []
-        # the rows, plus the three kinds of evidence merged into P2.3/regime1
-        assert len(built) == len(report.checks) + 3
+        assert len(built) == len(report.checks)
 
     def test_n_max_upper_limit_accepted(self, monkeypatch, tmp_path):
         seen = []

@@ -2,15 +2,14 @@
 
 import math
 import random
-from fractions import Fraction
+import re
 
 import mpmath as mp
 import pytest
 
 from holdercert import holder, interval
-from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_less, certified_positive, prove_boxes, subdivide
+from holdercert.checks import FAILED, PASSED, UNDECIDED, certified_positive
 from holdercert.holder import (
-    ENVELOPE_X_MAX,
     check_envelope,
     check_nesting,
     ddf,
@@ -167,90 +166,29 @@ class TestWirtinger:
 
 
 class TestEnvelope:
-    E1 = 1.0 / math.pi + 2.0 / math.pi**2
-    E2 = 1.0 / math.pi + 0.5
-    LO = (1 / PI).hi + 1e-3  # right end of the analytic strip
+    IDS = ["P2.3/regime1", "P2.3/regime2", "P2.3/regime3", "P2.3/concavity"]
 
     @staticmethod
-    def _start_and_leaves(monkeypatch, x_max):
-        """Run check_envelope up to x_max; return its results, and the start
-        boxes and leaves of each envelope regime's subdivide call."""
-        calls = []
-
-        def recording(margin, boxes):
-            boxes = list(boxes)
-            leaves = list(subdivide(margin, boxes))
-            calls.append((boxes, [leaf for leaf, _ in leaves]))
-            yield from leaves
-
-        monkeypatch.setattr("holdercert.checks.subdivide", recording)
-        monkeypatch.setattr("holdercert.holder.ENVELOPE_X_MAX", x_max)
-        results = check_envelope()
-        assert len(calls) == 4  # one per regime, then concavity
-        return results, calls[:3]
+    def _verdicts(monkeypatch, **edges):
+        """check_envelope's verdicts with region edges moved, e.g. _CHORD_END=1.7."""
+        for name, value in edges.items():
+            monkeypatch.setattr(f"holdercert.holder.{name}", value)
+        return {r.check_id: r.verdict for r in check_envelope()}
 
     def test_all_pass(self):
         results = check_envelope()
-        assert [r.check_id for r in results] == [
-            "P2.3/regime1",
-            "P2.3/regime2",
-            "P2.3/regime3",
-            "P2.3/concavity",
-        ]
-        assert all(r.verdict == PASSED for r in results)
+        assert [r.check_id for r in results] == self.IDS
+        assert all(r.verdict == PASSED and r.margin > 0.0 for r in results)
 
-    def test_pointwise_examples(self):
-        inv_pi = 1.0 / math.pi
-        # x = 2 (oracle values)
-        assert f(2.0) == pytest.approx(0.958851077208406, rel=1e-12)
-        assert math.sqrt(2.0 * (2.0 - inv_pi)) == pytest.approx(1.83395207888113, rel=1e-12)
-        # third regime entry point
-        x = inv_pi + 0.51
-        assert f(x) < 1.0 < math.sqrt(2.0 * (x - inv_pi))
-        # boundary: both sides vanish at 1/pi
-        assert abs(f(inv_pi)) < 1e-15
-
-    def test_x_max_validation(self):
-        # every regime, the third included, needs a proved box
-        assert self.E2 < ENVELOPE_X_MAX < math.inf
-
-    def test_strip_reaches_the_first_box(self, monkeypatch):
-        # the mean-value strip certified by pi^2 * width < 2 must cover
-        # [1/pi, first box), which is a little wider than 1e-3
-        certified = []
-
-        def recording(check_id, anchor, lhs, rhs):
-            certified.append((check_id, lhs))
-            return certified_less(check_id, anchor, lhs, rhs)
-
-        monkeypatch.setattr("holdercert.holder.certified_less", recording)
-        results, regime_calls = self._start_and_leaves(monkeypatch, ENVELOPE_X_MAX)
-        assert all(r.verdict == PASSED for r in results)
-        [(check_id, lhs)] = certified
-        assert check_id == "P2.3/regime1"
-        first_box = regime_calls[0][0][0]
-        pi_lo = Fraction(PI.lo)  # pi >= pi_lo, so pi^2 (lo - 1/pi) >= this
-        width = pi_lo**2 * (Fraction(first_box.lo) - 1 / pi_lo)
-        assert Fraction(lhs.hi) >= width > Fraction(PI.hi) ** 2 * Fraction(1e-3)
-
-    @pytest.mark.parametrize("x_max", [8.0, 2.0])
-    def test_start_boxes_are_the_regimes(self, monkeypatch, x_max):
-        results, regime_calls = self._start_and_leaves(monkeypatch, x_max)
-        assert len(results) == 4 and all(r.verdict == PASSED for r in results)
-        assert [[(b.lo, b.hi) for b in start] for start, _ in regime_calls] == [
-            [(self.LO, self.E1)],
-            [(self.E1, self.E2)],
-            [(self.E2, x_max)],
-        ]
-        leaves = sorted((leaf for _, call_leaves in regime_calls for leaf in call_leaves), key=lambda b: b.lo)
-        assert leaves[0].lo == self.LO and leaves[-1].hi == x_max
-        assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
-        # every leaf lies in one regime
-        for leaf in leaves:
-            for e in (self.E1, self.E2):
-                assert leaf.hi <= e or leaf.lo >= e
+    def test_margins(self):
+        # tangent 2 - pi^2 (0.45 - 1/pi), chord 2x - x^2 - 2/pi at x = 0.45, far 2 (1.5 - 1/pi) - 1
+        margins = [r.margin for r in check_envelope()]
+        assert margins[:3] == pytest.approx([0.70027067, 0.06088023, 1.36338023], abs=1e-8)
+        # sin(1/x) at x = (1/pi).hi: the same single enclosure as ever
+        assert margins[3] == 1.2246467991473527e-16
 
     def test_few_f_evaluations(self, monkeypatch):
+        # the regions are proved from f's analytic bounds: no enclosure of f
         calls = []
 
         def counting(x):
@@ -259,104 +197,77 @@ class TestEnvelope:
 
         monkeypatch.setattr("holdercert.holder.f_iv", counting)
         assert all(r.verdict == PASSED for r in check_envelope())
-        assert len(calls) <= 64
+        assert calls == []
 
-    def test_unprovable_boxes_are_undecided(self, monkeypatch):
-        # an enclosure of f too wide to prove anything: the subdivision must
-        # stop at its budget and report every regime undecided, never passed
-        monkeypatch.setattr("holdercert.holder.f_iv", lambda x: Interval(-10.0, 10.0))
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 16)
-        results = check_envelope()
-        verdicts = {r.check_id: r.verdict for r in results}
-        assert verdicts == {
-            "P2.3/regime1": UNDECIDED,
-            "P2.3/regime2": UNDECIDED,
-            "P2.3/regime3": UNDECIDED,
-            "P2.3/concavity": PASSED,
+    def test_pointwise_examples(self):
+        inv_pi = 1.0 / math.pi
+        # x = 2 (oracle values)
+        assert f(2.0) == pytest.approx(0.958851077208406, rel=1e-12)
+        assert math.sqrt(2.0 * (2.0 - inv_pi)) == pytest.approx(1.83395207888113, rel=1e-12)
+        # far region entry point
+        assert f(1.5) < 1.0 < math.sqrt(2.0 * (1.5 - inv_pi))
+        # boundary: both sides vanish at 1/pi
+        assert abs(f(inv_pi)) < 1e-15
+
+    def test_tangent_too_long_fails(self, monkeypatch):
+        # pi^2 * 0.21 > 2: the tangent leaves the envelope before its end
+        verdicts = self._verdicts(monkeypatch, _TANGENT_END=1 / math.pi + 0.21)
+        assert verdicts["P2.3/regime1"] == FAILED
+
+    def test_chord_start_left_of_its_root_fails(self, monkeypatch):
+        # 2x - x^2 - 2/pi < 0 at x = 0.38 (the root is 1 - sqrt(1 - 2/pi) ~ 0.397),
+        # while x = 1.5 passes: a chord checked at its right end only passes this
+        monkeypatch.setattr("holdercert.holder._TANGENT_END", 0.38)
+        results = {r.check_id: r for r in check_envelope()}
+        assert results["P2.3/regime1"].verdict == PASSED
+        assert results["P2.3/regime2"].verdict == FAILED
+        assert results["P2.3/regime2"].margin == pytest.approx(-0.021, abs=1e-3)
+
+    def test_chord_end_right_of_its_root_fails(self, monkeypatch):
+        # the other root is 1 + sqrt(1 - 2/pi) ~ 1.603
+        verdicts = self._verdicts(monkeypatch, _CHORD_END=1.7)
+        assert verdicts["P2.3/regime2"] == FAILED
+
+    def test_far_start_too_close_fails(self, monkeypatch):
+        # 2 (0.8 - 1/pi) < 1: f < 1 no longer lies under the envelope
+        verdicts = self._verdicts(monkeypatch, _CHORD_END=0.8)
+        assert verdicts["P2.3/regime3"] == FAILED
+
+    def test_wide_slope_is_never_passed(self, monkeypatch):
+        # the tangent encloses f'(1/pi) = phi(pi); an enclosure too wide to
+        # prove anything leaves regime1 undecided, never passed
+        seen = []
+
+        def wide(u):
+            seen.append(u)
+            return Interval(-10.0, 10.0)
+
+        monkeypatch.setattr("holdercert.holder.phi_iv", wide)
+        verdicts = self._verdicts(monkeypatch)
+        assert seen == [PI]
+        assert verdicts == dict(zip(self.IDS, [UNDECIDED, PASSED, PASSED, PASSED]))
+
+    def test_regions_tile_and_hold_by_mpmath(self):
+        # the anchors' regions tile [1/pi, inf) and concavity covers the tangent's
+        regions = {
+            r.check_id: re.search(r"on [\[(]([^,]+), ([^\])]+)[\])]", r.anchor).groups() for r in check_envelope()
         }
-        assert all(r.margin < 0.0 for r in results[:3])
-
-
-class TestSubdivide:
-    BOXES = [Interval(0.0, 1.0), Interval(1.0, 3.0)]
-
-    @staticmethod
-    def _assert_tiles(leaves, lo, hi):
-        leaves = sorted(leaves, key=lambda b: b.lo)
-        assert leaves[0].lo == lo and leaves[-1].hi == hi
-        assert all(a.hi == b.lo for a, b in zip(leaves, leaves[1:]))
-
-    def test_provable_margin_tiles_the_boxes(self):
-        out = list(subdivide(lambda box: 0.3 - box.width, self.BOXES))
-        assert all(m > 0.0 for _, m in out)
-        assert all(leaf.width < 0.3 for leaf, _ in out)
-        self._assert_tiles([leaf for leaf, _ in out], 0.0, 3.0)
-
-    def test_unprovable_margin_stops_at_budget(self, monkeypatch):
-        calls = []
-
-        def never(box):
-            calls.append(box)
-            return -1.0
-
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 10)
-        out = list(subdivide(never, self.BOXES))
-        # budget - 1 splits, each adding one leaf; every box evaluated once
-        assert len(out) == len(self.BOXES) + 9
-        assert len(calls) == len(self.BOXES) + 2 * 9
-        assert all(m == -1.0 for _, m in out)
-        self._assert_tiles([leaf for leaf, _ in out], 0.0, 3.0)
-
-    @staticmethod
-    def zero_at_zero(box):
-        """Margin 0 on boxes that start at 0, and 1 elsewhere: 0 proves nothing."""
-        return 0.0 if box.lo == 0.0 else 1.0
-
-    def test_zero_margin_keeps_splitting(self, monkeypatch):
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 10)
-        out = list(subdivide(self.zero_at_zero, self.BOXES[:1]))
-        # [0, 1] is halved at boxes 1, 3, 5, 7 and 9; the budget leaves [0, 1/32]
-        assert [m for _, m in out].count(0.0) == 1
-        assert (Interval(0.0, 1 / 32), 0.0) in out
-        self._assert_tiles([leaf for leaf, _ in out], 0.0, 1.0)
-
-    def test_unsplittable_box_is_a_leaf(self):
-        tight = Interval(1.0, math.nextafter(1.0, 2.0))
-        assert list(subdivide(lambda box: -1.0, [tight])) == [(tight, -1.0)]
-
-
-class TestProveBoxes:
-    BOXES = TestSubdivide.BOXES
-
-    def test_provable_margin_passes_at_the_weakest_leaf(self):
-        margin = lambda box: 0.3 - box.width
-        r = prove_boxes("id", "anchor", margin, self.BOXES)
-        leaves = list(subdivide(margin, self.BOXES))
-        assert (r.check_id, r.anchor, r.verdict) == ("id", "anchor", PASSED)
-        assert r.margin == min(m for _, m in leaves) > 0.0
-
-    def test_unprovable_box_is_undecided(self, monkeypatch):
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 64)
-        r = prove_boxes("id", "anchor", lambda box: -box.width, self.BOXES)
-        assert r.verdict == UNDECIDED and r.margin <= 0.0
-
-    def test_zero_margin_is_never_proved(self, monkeypatch):
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 64)
-        r = prove_boxes("id", "anchor", TestSubdivide.zero_at_zero, self.BOXES)
-        assert (r.verdict, r.margin) == (UNDECIDED, 0.0)
-
-    def test_budget_applies_per_call(self, monkeypatch):
-        calls = []
-
-        def never(box):
-            calls.append(box)
-            return -1.0
-
-        monkeypatch.setattr("holdercert.checks.SUBDIVISION_BUDGET", 10)
-        for _ in range(2):
-            assert prove_boxes("id", "anchor", never, self.BOXES).verdict == UNDECIDED
-        # each call gets the whole budget: budget - 1 splits, as in TestSubdivide
-        assert len(calls) == 2 * (len(self.BOXES) + 2 * 9)
+        tangent, chord, far = (regions[k] for k in self.IDS[:3])
+        assert tangent[0] == "1/pi" and tangent[1] == chord[0] and chord[1] == far[0] and far[1] == "inf"
+        assert regions["P2.3/concavity"] == tangent
+        t, c = float(tangent[1]), float(chord[1])
+        with mp.workdps(30):
+            inv_pi = 1 / mp.pi
+            for k in range(1, 2001):
+                x = inv_pi * (mp.mpf(10) ** 6 / inv_pi) ** (mp.mpf(k) / 2000)
+                fx, envelope = x * mp.sin(1 / x), mp.sqrt(2 * (x - inv_pi))
+                assert fx <= envelope
+                if x <= t:
+                    assert fx <= mp.pi * (x - inv_pi) <= envelope
+                elif x <= c:
+                    assert fx <= x < envelope
+                else:
+                    assert fx < 1 < envelope
 
 
 class TestNesting:

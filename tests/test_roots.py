@@ -273,11 +273,10 @@ class TestCubicOvershoot:
         monkeypatch.setattr("holdercert.roots.HALF_PI", end)
         assert [r.verdict for r in check_cubic_overshoot()] == [verdict, verdict]
 
-    def test_no_trig_and_no_boxes(self, monkeypatch):
+    def test_no_trig(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("Lemma 1.5 needs no trig kernel and no boxes")
+            raise AssertionError("Lemma 1.5 needs no trig kernel")
 
         monkeypatch.setattr("holdercert.interval.sin", fail)
         monkeypatch.setattr("holdercert.interval.cos", fail)
-        monkeypatch.setattr("holdercert.checks.subdivide", fail)
         assert [r.verdict for r in check_cubic_overshoot()] == [PASSED, PASSED]
