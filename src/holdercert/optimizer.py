@@ -35,13 +35,12 @@ STATIONARY_TOL = 1e-12
 # which keeps the estimate within 1e-12 up to here (1.5e-14 measured at resolutions 64 to
 # 512, alpha 1/4 to 1/2) but not at 1e11 (1.3e-12 short at resolution 64, alpha 1/2).
 X_CAP_MAX = 1e10
-# Largest grid the sweep takes: its tile-pair arrays grow with the square of the tile
-# count (global_sup(1, 8, R, 1/2) peaks at 67 MB for R = 2^16, 172 MB for R = 2^17).
+# Largest grid the sweep takes, the largest the tests and CI run end to end.  Its top level is 8
+# tiles at any size, so its memory grows with the grid: global_sup(1, 8, R, 1/2) peaks at 33 MB
+# RSS for R = 2^16 (29 MB at R = 64, most of it numpy), 36 MB for R = 2^17.
 RESOLUTION_MAX = 2**16
 _SWEEP_BLOCK_POINTS = 2**14  # grid points per sweep block: with _LEAF_CHUNK, sets the sweep's peak memory
 _LEAF_CHUNK = 256  # leaf tile pairs per scan chunk
-_LB_STRIDE = 16  # the bound every kept tile pair must reach: the best pair of every 16th grid point
-_TILES = (64, 32, 16, 8)  # the sweep's tile sizes, coarse to fine; 8-point leaves are scanned
 _SLACK = 1.0 + 1e-9  # widening of the sweep's pruning bounds against float error
 
 
@@ -140,113 +139,96 @@ def _quotients(xa, fa, xb, fb, alpha_exp: float) -> np.ndarray:
 def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tuple[np.ndarray, ...]:
     """Which pairs of each piece's grid can hold its maximum.
 
-    A row of xs, fv is a grid of n points padded to whole 64-point tiles
-    (the last point repeated).  Returns (lb, li, lj): lb per piece, the
-    best pair of every 16th grid point (a grid entry, so at most the grid
-    maximum), and the kept leaf tile pairs li <= lj as flat indices of
-    8-point tiles (leaf t holds xs.flat[8t .. 8t + 7]).  Tile pairs start
-    at 64 points; each whose bounds reach lb splits 2 x 2, down to 8.
-    A tile's slope is its largest adjacent slope, the one to the next tile
-    included.  Every quotient of a pair (I, I) is at most smax_I
-    w_I^(1-alpha), w_I the tile's width, and of a pair I < J at most
-    max(fmax_J - fmin_I, fmax_I - fmin_J) / d_min^alpha, d_min the
-    distance from I's last point to J's first.  A pair that passes is
-    tested again with the chord bound max(N0 / d_min^alpha, (N0 + S t)
-    / d_max^alpha), N0 = |f(J's first point) - f(I's last point)|, S the
-    larger of I's and J's slopes, d_max the distance from I's first point
-    to J's last, and t = d_max - d_min, the sum of the two tiles' widths
-    (summed, not subtracted, so it keeps its relative accuracy):
+    A row of xs, fv is a grid of n points padded to a power of two of at
+    least 64 points (the last point repeated).  Returns (lb, li, lj): lb
+    per piece, a grid entry, so at most the grid maximum (-inf on a grid
+    of at most 8 points), and the kept leaf tile pairs li <= lj as flat
+    indices of 8-point tiles (leaf t holds xs.flat[8t .. 8t + 7]).  Tile
+    pairs start at an eighth of the padded width; each level drops the
+    pairs past the grid's end, lets lb take in every pair's chord entry,
+    keeps the pairs whose bound reaches lb and splits them 2 x 2, down to
+    8 points.
+    A tile's slope S is its largest adjacent slope, the one to the next
+    tile included.  Every quotient of a pair (I, I) is at most
+    S w^(1-alpha), w the tile's width, and of a pair I < J at most the
+    chord bound max(N0 / d_min^alpha, (N0 + S t) / d_max^alpha),
+    N0 = |f(J's first point) - f(I's last point)|, S the larger of I's
+    and J's slopes, d_min the distance from I's last point to J's first,
+    d_max from I's first point to J's last, and t = d_max - d_min, the sum
+    of the two tiles' widths (summed, not subtracted, so it keeps its
+    relative accuracy):
       a pair at distance d_min + u, 0 <= u <= t, has |df| <= N0 + S u;
       g(u) = (N0 + S u) / (d_min + u)^alpha has g' of the sign of
       S (1 - alpha) u + S d_min - alpha N0, which is increasing in u,
       so g is largest at u = 0 or u = t.
-    Its first term is a grid entry, so it exceeds the tile pair's maximum
-    only at second order in the tile width; the range bound does at first
-    order.  It implies the slope bound S' d_max^(1-alpha) for I < J, S'
-    the largest slope of tiles I..J: N0 <= S' d_min and S <= S', so
-    N0 + S t <= S' d_max and N0 / d_min^alpha <= S' d_max^(1-alpha).  It
-    is computed on the range bound's survivors only, which keeps the
-    sweep's peak memory down; on the diagonal d_min < 0 makes it NaN,
-    which keeps the pair.  Bounds are widened by _SLACK, far more than
-    the few ulps of float error in a bound or a scanned entry, so every
-    pair left out is below lb.  A piece whose grid is not finite and
-    strictly increasing keeps every tile."""
+    Its first term, the chord entry, is the grid entry from I's last
+    point to J's first, computed by ``_quotients`` as the scan does; on
+    the diagonal it is NaN, which lb skips.  Bounds are widened by _SLACK,
+    far more than the few ulps of float error in a bound or a scanned
+    entry, so every pair left out is below lb; a NaN bound keeps its pair.
+    A piece whose grid is not finite and strictly increasing keeps every
+    tile."""
     import numpy as np
 
     pieces, width = xs.shape
-    sx, sf = xs[:, :n:_LB_STRIDE], fv[:, :n:_LB_STRIDE]
     dx = np.diff(xs[:, :n], axis=1)
     full = ~(np.isfinite(xs).all(axis=1) & np.isfinite(fv).all(axis=1) & (dx > 0).all(axis=1))
     with np.errstate(all="ignore"):  # NaN and inf are screened out by full
-        # 8 rows of pairs at a time; fmax skips the NaN at and below the diagonal
-        groups = (
-            _quotients(sx[:, r : r + 8, None], sf[:, r : r + 8, None], sx[:, None, r:], sf[:, None, r:], alpha_exp)
-            for r in range(0, sx.shape[1], 8)
-        )
-        lb = np.fmax.reduce([np.fmax.reduce(q, axis=(1, 2)) for q in groups])
-        slope = np.pad(np.abs(np.diff(fv[:, :n], axis=1)) / dx, ((0, 0), (0, width - n + 1)))
-    # per tile size: each tile's largest f, smallest f and largest slope
-    stats, levels, size = (fv, fv, slope), {}, 1
-    while size < _TILES[0]:
-        stats = tuple(op(a[:, ::2], a[:, 1::2]) for op, a in zip((np.maximum, np.minimum, np.maximum), stats))
-        size *= 2
-        if size in _TILES:
-            levels[size] = stats
-    ti, tj = np.triu_indices(width // _TILES[0])
-    base = np.arange(pieces)[:, None] * (width // _TILES[0])
-    fi, fj = (base + ti).ravel(), (base + tj).ravel()  # tile I of piece p is p * tiles + I
-    for size in _TILES:
-        fmax, fmin, smax = levels[size]
-        tiles = fmax.shape[1]
-        if size < _TILES[0]:  # split each kept pair 2 x 2, on and above the diagonal
-            fi, fj = 2 * fi[:, None] + [0, 0, 1, 1], 2 * fj[:, None] + [0, 1, 0, 1]
-            keep = (fi <= fj) & (fj % tiles * size < n)
-            fi, fj = fi[keep], fj[keep]
+        slope = np.pad(np.abs(np.diff(fv[:, :n], axis=1)) / dx, ((0, 0), (0, width - n + 1))).ravel()
+    lb = np.full(pieces, -np.inf)
+    tiles, size = 8, width // 8
+    ti, tj = np.triu_indices(tiles)
+    fi, fj = (np.arange(pieces)[:, None] * tiles + t for t in (ti, tj))  # tile I of piece p is p * tiles + I
+    while True:
+        keep = (fi <= fj) & (fj % tiles * size < n)  # on and above the diagonal, J inside the grid
+        fi, fj = fi[keep], fj[keep]
+        piece = fi // tiles
         first, last = xs[:, ::size].ravel(), xs[:, size - 1 :: size].ravel()
-        widths = last - first
-        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: the range form is NaN there
-            bound = np.where(
-                fi == fj,
-                smax.take(fi) * widths.take(fi) ** (1.0 - alpha_exp),
-                np.maximum(fmax.take(fj) - fmin.take(fi), fmax.take(fi) - fmin.take(fj))
-                / (first[fj] - last[fi]) ** alpha_exp,
-            )
-        keep = (bound * _SLACK >= lb[fi // tiles]) | full[fi // tiles]
+        f_first, f_last = fv[:, ::size].ravel(), fv[:, size - 1 :: size].ravel()
+        smax, widths = slope.reshape(-1, size).max(axis=1), last - first
+        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: its chord entry is NaN
+            entry = _quotients(last[fi], f_last[fi], first[fj], f_first[fj], alpha_exp)
+            np.fmax.at(lb, piece, entry)
+            spread = np.maximum(smax[fi], smax[fj]) * (widths[fi] + widths[fj])
+            chord = (np.abs(f_first[fj] - f_last[fi]) + spread) / (last[fj] - first[fi]) ** alpha_exp
+            bound = np.where(fi == fj, (smax * widths ** (1.0 - alpha_exp))[fi], np.maximum(entry, chord))
+        keep = ~(bound * _SLACK < lb[piece]) | full[piece]
         fi, fj = fi[keep], fj[keep]
-        n0 = np.abs(fv[:, ::size].ravel()[fj] - fv[:, size - 1 :: size].ravel()[fi])
-        spread = np.maximum(smax.take(fi), smax.take(fj)) * (widths.take(fi) + widths.take(fj))
-        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: a NaN chord keeps the pair
-            chord = np.maximum(
-                n0 / (first[fj] - last[fi]) ** alpha_exp, (n0 + spread) / (last[fj] - first[fi]) ** alpha_exp
-            )
-        keep = ~(chord * _SLACK < lb[fi // tiles]) | full[fi // tiles]
-        fi, fj = fi[keep], fj[keep]
-    return lb, fi, fj
+        if size == 8:
+            return lb, fi, fj
+        fi, fj = 2 * fi[:, None] + [0, 0, 1, 1], 2 * fj[:, None] + [0, 1, 0, 1]  # split each pair 2 x 2
+        tiles, size = 2 * tiles, size // 2
 
 
 def _grid_sweep(bounds: list[tuple[float, float]], points: int, alpha_exp: float) -> list[tuple[float, float]]:
     """Best pair of each piece's points x points grid (upper triangle); one
-    call per block of pieces frees a block's arrays before the next's."""
-    block = max(1, _SWEEP_BLOCK_POINTS // points)
+    call per block of pieces frees a block's arrays before the next's.  Each
+    grid is padded to a power of two, at least 64 points, so the top tiles
+    of ``_leaf_tiles`` are whole; blocks count the padded points."""
+    width = max(64, 1 << (points - 1).bit_length())
+    block = max(1, _SWEEP_BLOCK_POINTS // width)
     blocks = (bounds[b : b + block] for b in range(0, len(bounds), block))
-    return [pair for part in blocks for pair in _sweep_block(part, points, alpha_exp)]
+    return [pair for part in blocks for pair in _sweep_block(part, points, width, alpha_exp)]
 
 
-def _sweep_block(bounds: list[tuple[float, float]], points: int, alpha_exp: float) -> list[tuple[float, float]]:
-    """``_grid_sweep`` of a block of pieces at once.  It scans, in chunks,
-    only the leaf tile pairs that ``_leaf_tiles`` keeps: every pair left
-    out is below a grid entry, hence below the maximum.  The winner is the
-    full row-by-row scan's pair, bit for bit: the largest quotient, ties
-    to the first row, then the first column; a row holding a NaN quotient
-    never wins (the row scan's argmax stops at the NaN)."""
+def _sweep_block(
+    bounds: list[tuple[float, float]], points: int, width: int, alpha_exp: float
+) -> list[tuple[float, float]]:
+    """``_grid_sweep`` of a block of pieces at once, each grid padded to
+    width points.  It scans, in chunks, only the leaf tile pairs that
+    ``_leaf_tiles`` keeps: every pair left out is below a grid entry,
+    hence below the maximum.  The winner is the full row-by-row scan's
+    pair, bit for bit: the largest quotient, ties to the first row, then
+    the first column; a row holding a NaN quotient never wins (the row
+    scan's argmax stops at the NaN)."""
     import numpy as np
 
-    leaf = np.arange(_TILES[-1])
+    leaf = np.arange(8)
     below = (leaf[:, None] <= leaf)[:, :, None]  # [column, row, -]: masked in a leaf on the diagonal
     lo, hi = np.array(bounds).T
     # one linspace gives each row its own call's bits while every lo < hi, as global_sup's pieces
-    # have (a row with lo == hi switches every row to another formula); pad to whole top tiles
-    xp = np.pad(np.linspace(lo, hi, points, axis=1), ((0, 0), (0, -points % _TILES[0])), mode="edge")
+    # have (a row with lo == hi switches every row to another formula)
+    xp = np.pad(np.linspace(lo, hi, points, axis=1), ((0, 0), (0, width - points)), mode="edge")
     fp = xp * np.sin(1.0 / xp)
     xs, fv = xp[:, :points], fp[:, :points]
     _, li, lj = _leaf_tiles(xp, fp, points, alpha_exp)

@@ -114,7 +114,62 @@ def test_changed_anchor_or_verdict(tmp_path, field, value):
     new["checks"][1][field] = value
     proc = _compare(tmp_path, REPORT, new)
     assert proc.returncode == 1
-    assert proc.stdout.splitlines() == ["reports differ beyond their margins", f"L1.4/gap[n=2] differs in {field}"]
+    assert proc.stdout.splitlines() == [
+        "reports differ beyond their margins",
+        f"L1.4/gap[n=2] differs in {field}, margin 0.5 -> 0.5",
+    ]
+
+
+def test_changed_verdict_shows_the_margin_move(tmp_path):
+    new = copy.deepcopy(REPORT)
+    new["checks"][0].update(anchor="alpha_1 alpha_2 > 34.9", verdict="failed", margin=-0.05)
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "reports differ beyond their margins",
+        "L1.4/gap[n=1] differs in anchor and verdict, margin 0.25 -> -0.05",
+    ]
+
+
+def test_config_key_added(tmp_path):
+    # a report without config compares as one with an empty config; config alone keeps exit 0
+    new = {**copy.deepcopy(REPORT), "config": {"n_max": 20}}
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [EQUAL_LINE, "config n_max: absent -> 20"]
+
+
+def test_config_key_removed(tmp_path):
+    old = {**copy.deepcopy(REPORT), "config": {"n_max": 20, "envelope_x_max": 8.0}}
+    new = {**copy.deepcopy(REPORT), "config": {"n_max": 20}}
+    proc = _compare(tmp_path, old, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [EQUAL_LINE, "config envelope_x_max: 8.0 -> absent"]
+
+
+def test_config_value_changed(tmp_path):
+    old = {**copy.deepcopy(REPORT), "config": {"n_max": 20, "wirtinger_n": 5}}
+    new = {**copy.deepcopy(REPORT), "config": {"n_max": 200, "wirtinger_n": 5}}
+    new["checks"][0]["margin"] = 0.25 - 2 * math.ulp(34.6)
+    proc = _compare(tmp_path, old, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        EQUAL_LINE,
+        "L1.4: 1 margins changed, 1 lower, largest drop 2.00 and largest rise 0.00 ulps of the threshold",
+        "config n_max: 20 -> 200",
+    ]
+
+
+def test_config_listed_with_other_differences(tmp_path):
+    new = {**copy.deepcopy(REPORT), "config": {"n_max": 20}}
+    new["summary"]["passed"] = 2
+    proc = _compare(tmp_path, REPORT, new)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "reports differ beyond their margins",
+        "summary differs",
+        "config n_max: absent -> 20",
+    ]
 
 
 def test_i_quad_moved_by_one_ulp(tmp_path):

@@ -192,7 +192,7 @@ class TestBatchedSearchReference:
     the full per-piece scan, and the lockstep descent the pair of the
     scalar one, bit for bit."""
 
-    @pytest.mark.parametrize("resolution", [64, 512])
+    @pytest.mark.parametrize("resolution", [64, 300, 512, 1000])
     @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.25])
     @pytest.mark.parametrize("x_cap", [4.0 / math.pi, 8.0, 50.0])
     def test_pieces_match_reference(self, x_cap, alpha_exp, resolution):
@@ -340,15 +340,15 @@ class TestSweepPruning:
         if kind == "smooth":  # a monotone ramp on the uneven points: the chord bound prunes
             return xs, np.arctan((xs - xs.mean(axis=1, keepdims=True)) / rng.uniform(2.0, 20.0, (pieces, 1)))
         fv = np.cumsum(rng.standard_normal((pieces, points)), axis=1)
-        if kind == "spikes":  # a gentle walk with steep points off lb's subgrid
-            fv = 0.01 * fv + 10.0 * (rng.random((pieces, points)) < 0.05) * (np.arange(points) % opt._LB_STRIDE != 0)
+        if kind == "spikes":  # a gentle walk with steep points at random positions
+            fv = 0.01 * fv + 10.0 * (rng.random((pieces, points)) < 0.05)
         return xs, fv
 
     @staticmethod
     def _kept(xs, fv, alpha_exp):
         """lb, and which pairs (i, j) of each grid lie in a kept leaf."""
         pieces, points = xs.shape
-        pad = ((0, 0), (0, -points % 64))  # whole 64-point tiles, as the sweep pads
+        pad = ((0, 0), (0, max(64, 1 << (points - 1).bit_length()) - points))  # to 2^k >= 64, as the sweep pads
         xp, fp = np.pad(xs, pad, mode="edge"), np.pad(fv, pad, mode="edge")
         lb, li, lj = opt._leaf_tiles(xp, fp, points, alpha_exp)
         leaves, k = xp.shape[1] // 8, np.arange(8)
@@ -375,7 +375,7 @@ class TestSweepPruning:
     @pytest.mark.parametrize("kind", ["f", "walk", "spikes", "smooth"])
     @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
     def test_chord_implies_the_slope_bound(self, kind, alpha_exp):
-        # why _leaf_tiles needs no slope bound: for I < J the chord bound is at most
+        # why _leaf_tiles needs no slope bound off the diagonal: for I < J the chord bound is at most
         # S' d_max^(1-alpha), S' the largest slope of tiles I..J (each tile's slopes
         # include the one to the next tile, as in the sweep)
         xs, fv = self._grids(np.random.default_rng(20241), kind, 20, 256)
@@ -395,7 +395,7 @@ class TestSweepPruning:
         xs = np.tile(np.linspace(0.1, 2.0, 65), (4, 1))
         fv = xs * np.sin(1.0 / xs)
         xs[1, -1] = math.inf  # an infinite end
-        fv[2, 5] = math.nan  # a NaN value off lb's subgrid
+        fv[2, 5] = math.nan  # a NaN value
         xs[3, 6], fv[3, 6] = xs[3, 5], fv[3, 5]  # a repeated point
         with np.errstate(invalid="ignore"):
             _, kept = self._kept(xs, fv, 0.5)
@@ -431,8 +431,20 @@ class TestSweepPruning:
             tracemalloc.stop()
         assert peak <= 3.5e6
 
+    def test_blocks_count_padded_points(self, monkeypatch):
+        # 257 points pad to 512: a block of 63 pieces would hold twice _SWEEP_BLOCK_POINTS
+        sizes, sweep_block = [], opt._sweep_block
+
+        def spy(bounds, points, width, alpha_exp):
+            sizes.append(len(bounds) * width)
+            return sweep_block(bounds, points, width, alpha_exp)
+
+        monkeypatch.setattr(opt, "_sweep_block", spy)
+        opt._grid_sweep([piece_bounds(n, 8.0) for n in range(201)], 257, 0.5)
+        assert max(sizes) == opt._SWEEP_BLOCK_POINTS
+
     def test_largest_grid_memory(self):
-        # the README's --resolution bound: one piece at the largest grid
+        # the README's --resolution bound: one piece at the largest grid, whose top level is 8 tiles
         bounds = [piece_bounds(0, 8.0)]
         tracemalloc.start()
         try:
@@ -440,7 +452,7 @@ class TestSweepPruning:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6
+        assert peak <= 16e6
 
     def test_descent_drops_settled_pieces(self, monkeypatch):
         bounds = [piece_bounds(n, 8.0) for n in range(201)]

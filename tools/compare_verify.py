@@ -5,14 +5,17 @@
 Exits 1 unless both reports have the same check ids, anchors, order,
 verdicts and summary, and the same constants rows in every field but the
 float quadrature oracle i_quad (n and the interval columns compare exactly),
-and then prints what differs: each check whose anchor or verdict differs (or
-that the ids or their order do), whether summary does, and each constants
-row that differs beyond i_quad (or that the row count does).  Otherwise
-exits 0 and prints, per family (the id up to its first "/"), how many
-margins changed, how many went down, and the largest drop and the largest
-rise: in ulps of the check's threshold (the last "< t" or "> t" of its
-anchor), or relative to the old margin where the anchor has none; and, if
-any i_quad changed, how many did and the largest relative move.  Exits 2,
+and then prints what differs: each check whose anchor or verdict differs,
+with its margin old -> new (or that the ids or their order do), whether
+summary does, and each constants row that differs beyond i_quad (or that the
+row count does).  Otherwise exits 0 and prints, per family (the id up to its
+first "/"), how many margins changed, how many went down, and the largest
+drop and the largest rise: in ulps of the check's threshold (the last "< t"
+or "> t" of its anchor), or relative to the old margin where the anchor has
+none; and, if any i_quad changed, how many did and the largest relative
+move.  Either way it ends with one line per config key that was added,
+removed or changed, old -> new ("absent" where a report lacks the key, and a
+report without config has none); config does not set the exit code.  Exits 2,
 with a usage line on stderr, when it is not given two paths, cannot read
 either as JSON, or either is not a verify report: a JSON object with checks,
 summary and constants_table.
@@ -60,10 +63,17 @@ def main(argv: list[str]) -> int:
         for a, b in zip(old["checks"], new["checks"]):
             fields = [key for key in ("anchor", "verdict") if a[key] != b[key]]
             if fields:
-                differences.append(f"{a['id']} differs in {' and '.join(fields)}")
+                margins = f"margin {a['margin']!r} -> {b['margin']!r}"
+                differences.append(f"{a['id']} differs in {' and '.join(fields)}, {margins}")
+    old_config, new_config = old.get("config", {}), new.get("config", {})
+    configs = []
+    for key in sorted(old_config.keys() | new_config.keys()):
+        was, now = (json.dumps(config[key]) if key in config else "absent" for config in (old_config, new_config))
+        if was != now:
+            configs.append(f"config {key}: {was} -> {now}")
     if differences:
         print("reports differ beyond their margins")
-        print("\n".join(differences))
+        print("\n".join(differences + configs))
         return 1
     changed, lower = defaultdict(int), defaultdict(int)
     shifts = defaultdict(lambda: {ULPS: [], RELATIVE: []})  # signed margin moves per family and unit
@@ -91,6 +101,8 @@ def main(argv: list[str]) -> int:
              if a.get("i_quad") != b.get("i_quad")]
     if moves:
         print(f"i_quad: {len(moves)} of {len(old_rows)} changed, largest relative move {max(moves):.2e}")
+    for line in configs:
+        print(line)
     return 0
 
 
