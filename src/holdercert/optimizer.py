@@ -149,25 +149,31 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
     keeps the pairs whose bound reaches lb and splits them 2 x 2, down to
     8 points.
     A tile's slope S is its largest adjacent slope, the one to the next
-    tile included.  Every quotient of a pair (I, I) is at most
-    S w^(1-alpha), w the tile's width, and of a pair I < J at most the
-    chord bound max(N0 / d_min^alpha, (N0 + S t) / d_max^alpha),
-    N0 = |f(J's first point) - f(I's last point)|, S the larger of I's
-    and J's slopes, d_min the distance from I's last point to J's first,
-    d_max from I's first point to J's last, and t = d_max - d_min, the sum
-    of the two tiles' widths (summed, not subtracted, so it keeps its
-    relative accuracy):
-      a pair at distance d_min + u, 0 <= u <= t, has |df| <= N0 + S u;
-      g(u) = (N0 + S u) / (d_min + u)^alpha has g' of the sign of
-      S (1 - alpha) u + S d_min - alpha N0, which is increasing in u,
-      so g is largest at u = 0 or u = t.
-    Its first term, the chord entry, is the grid entry from I's last
-    point to J's first, computed by ``_quotients`` as the scan does; on
-    the diagonal it is NaN, which lb skips.  Bounds are widened by _SLACK,
-    far more than the few ulps of float error in a bound or a scanned
-    entry, so every pair left out is below lb; a NaN bound keeps its pair.
-    A piece whose grid is not finite and strictly increasing keeps every
-    tile."""
+    tile included; the slopes of every level come from one pyramid of
+    pairwise maxima.  Every quotient of a pair (I, I) is at most
+    S w^(1-alpha), w the tile's width.  For a pair I < J, let a be I's
+    last point and b J's first, N0 = |f(b) - f(a)|, d_min = b - a, and
+    S_I, w_I and S_J, w_J the tiles' slopes and widths:
+      a pair (x, y) in I x J has |df| <= N0 + S_I u_I + S_J u_J, where
+      u_I = a - x and u_J = y - b;
+      for a fixed u = u_I + u_J that is largest when u goes to the
+      steeper tile s first, so it is piecewise linear in u with one break
+      at w_s;
+      on each linear piece, N0' + S' u, the quotient bound
+      g(u) = (N0' + S' u) / (d_min + u)^alpha has g' of the sign of
+      S' (1 - alpha) u + S' d_min - alpha N0', which is increasing in u,
+      so g is largest at an end of the piece.
+    So the pair's bound is the largest of three vertex values,
+      N0 / d_min^alpha, (N0 + S_s w_s) / (d_min + w_s)^alpha and
+      (N0 + S_I w_I + S_J w_J) / d_max^alpha,
+    d_max from I's first point to J's last; each vertex's distance is the
+    difference of its two grid points.  Its first term, the chord entry,
+    is the grid entry from a to b, computed by ``_quotients`` as the scan
+    does; on the diagonal it is NaN, which lb skips.  Bounds are widened
+    by _SLACK, far more than the few ulps of float error in a bound or a
+    scanned entry, so every pair left out is below lb; a NaN bound keeps
+    its pair.  A piece whose grid is not finite and strictly increasing
+    keeps every tile."""
     import numpy as np
 
     pieces, width = xs.shape
@@ -177,6 +183,11 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
         slope = np.pad(np.abs(np.diff(fv[:, :n], axis=1)) / dx, ((0, 0), (0, width - n + 1))).ravel()
     lb = np.full(pieces, -np.inf)
     tiles, size = 8, width // 8
+    for _ in range(3):  # pairwise maxima, down to one slope per 8-point tile
+        slope = np.maximum(slope[::2], slope[1::2])
+    smax, s = {8: slope}, 8  # smax[s][t]: the slope of s-point tile t
+    while s < size:
+        smax[2 * s], s = np.maximum(smax[s][::2], smax[s][1::2]), 2 * s
     ti, tj = np.triu_indices(tiles)
     fi, fj = (np.arange(pieces)[:, None] * tiles + t for t in (ti, tj))  # tile I of piece p is p * tiles + I
     while True:
@@ -185,19 +196,35 @@ def _leaf_tiles(xs: np.ndarray, fv: np.ndarray, n: int, alpha_exp: float) -> tup
         piece = fi // tiles
         first, last = xs[:, ::size].ravel(), xs[:, size - 1 :: size].ravel()
         f_first, f_last = fv[:, ::size].ravel(), fv[:, size - 1 :: size].ravel()
-        smax, widths = slope.reshape(-1, size).max(axis=1), last - first
-        with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: its chord entry is NaN
-            entry = _quotients(last[fi], f_last[fi], first[fj], f_first[fj], alpha_exp)
-            np.fmax.at(lb, piece, entry)
-            spread = np.maximum(smax[fi], smax[fj]) * (widths[fi] + widths[fj])
-            chord = (np.abs(f_first[fj] - f_last[fi]) + spread) / (last[fj] - first[fi]) ** alpha_exp
-            bound = np.where(fi == fj, (smax * widths ** (1.0 - alpha_exp))[fi], np.maximum(entry, chord))
+        entry, bound = _pair_bounds(first, last, f_first, f_last, smax[size], fi, fj, alpha_exp)
+        np.fmax.at(lb, piece, entry)
         keep = ~(bound * _SLACK < lb[piece]) | full[piece]
         fi, fj = fi[keep], fj[keep]
         if size == 8:
             return lb, fi, fj
         fi, fj = 2 * fi[:, None] + [0, 0, 1, 1], 2 * fj[:, None] + [0, 1, 0, 1]  # split each pair 2 x 2
         tiles, size = 2 * tiles, size // 2
+
+
+def _pair_bounds(first, last, f_first, f_last, smax, fi, fj, alpha_exp: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chord entry and the bound of each tile pair fi <= fj at one level
+    of ``_leaf_tiles``, which derives the bound: tile t spans the grid from
+    first[t] to last[t], where f is f_first[t] and f_last[t], and its slope
+    is smax[t]."""
+    import numpy as np
+
+    x0, x1, y0, y1 = first[fi], last[fi], first[fj], last[fj]
+    with np.errstate(all="ignore"):  # d_min < 0 on the diagonal: its chord entry is NaN
+        entry = _quotients(x1, f_last[fi], y0, f_first[fj], alpha_exp)
+        widths = last - first
+        spread = smax * widths  # S w: how far f can move across a tile
+        n0 = np.abs(f_first[fj] - f_last[fi])
+        steep = smax[fi] >= smax[fj]  # I is the steeper tile s
+        middle = (n0 + spread[np.where(steep, fi, fj)]) / np.where(steep, y0 - x0, y1 - x1) ** alpha_exp
+        far = (n0 + spread[fi] + spread[fj]) / (y1 - x0) ** alpha_exp
+        diagonal = (smax * widths ** (1.0 - alpha_exp))[fi]
+        bound = np.where(fi == fj, diagonal, np.maximum(entry, np.maximum(middle, far)))
+    return entry, bound
 
 
 def _grid_sweep(bounds: list[tuple[float, float]], points: int, alpha_exp: float) -> list[tuple[float, float]]:
@@ -281,6 +308,7 @@ def _coordinate_descent(
     h = np.array(h0, dtype=float)
     out = p.copy()
     live = np.arange(h.size)  # the pieces still in the descent
+    steps = (np.arange(17) - 8) / 8.0  # exact, so h * steps is h * (k - 8) / 8 bit for bit
     with np.errstate(all="ignore"):  # probes outside the piece may be <= 0 or NaN
         fp = p * np.sin(1.0 / p)
         for _ in range(50):
@@ -292,14 +320,14 @@ def _coordinate_descent(
                     break
             rows = np.arange(live.size)
             for axis in (0, 1):
-                g = p[axis, :, None] + h[:, None] * (np.arange(17) - 8) / 8.0
+                g = p[axis, :, None] + h[:, None] * steps
                 fg = g * np.sin(1.0 / g)
                 fg[:, 8] = fp[axis]  # probe 8 is the base point
                 (x, y), (fx, fy) = p[:, :, None], fp[:, :, None]
                 x, fx, y, fy = (g, fg, y, fy) if axis == 0 else (x, fx, g, fg)
                 inside = (lo[:, None] <= x) & (x < y) & (y <= hi[:, None])
                 q = _quotients(x, fx, y, fy, alpha_exp)
-                q[~inside | np.isnan(q)] = -1.0
+                np.copyto(q, -1.0, where=~(inside & (q >= 0)))  # q is >= 0 or NaN
                 k = q.argmax(axis=1)
                 moved = q[rows, k] > -1.0
                 p[axis] = np.where(moved, g[rows, k], p[axis])

@@ -372,24 +372,57 @@ class TestSweepPruning:
             assert dropped.any()
             assert np.all(vals[dropped] < np.broadcast_to(lb[:, None], vals.shape)[dropped])
 
+    @staticmethod
+    def _tile_pairs(xs, fv, size, alpha_exp):
+        """Every pair i <= j of size-point tiles of each grid, and the chord entry and bound that
+        ``_pair_bounds`` gives each, as [piece, pair]; the slopes are the sweep's."""
+        pieces, points = xs.shape
+        slope = np.pad(np.abs(np.diff(fv, axis=1)) / np.diff(xs, axis=1), ((0, 0), (0, 1)))
+        smax = slope.reshape(pieces, -1, size).max(axis=2)
+        tiles = points // size
+        i, j = np.triu_indices(tiles)
+        fi, fj = (np.arange(pieces)[:, None] * tiles + t for t in (i, j))
+        ends = (xs[:, ::size], xs[:, size - 1 :: size], fv[:, ::size], fv[:, size - 1 :: size])
+        entry, bound = opt._pair_bounds(*(t.ravel() for t in ends), smax.ravel(), fi, fj, alpha_exp)
+        return i, j, smax, entry, bound
+
+    @pytest.mark.parametrize("kind", ["f", "walk", "spikes", "smooth"])
+    @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
+    def test_pair_bound_holds_every_quotient(self, kind, alpha_exp):
+        # every tile pair at every level: the three-vertex bound is at least each of the pair's grid
+        # quotients, and at most the two-vertex bound max(N0 / d_min^alpha,
+        # (N0 + max(S_I, S_J) (w_I + w_J)) / d_max^alpha) that charges both tiles the steeper slope
+        pieces, points = 20, 256
+        xs, fv = self._grids(np.random.default_rng(20242), kind, pieces, points)
+        a, b = np.triu_indices(points, 1)
+        vals = np.full((pieces, points, points), -np.inf)
+        vals[:, a, b] = opt._quotients(xs[:, a], fv[:, a], xs[:, b], fv[:, b], alpha_exp)
+        for size in (64, 32, 16, 8):
+            i, j, smax, entry, bound = self._tile_pairs(xs, fv, size, alpha_exp)
+            tiles = points // size
+            tile_max = vals.reshape(pieces, tiles, size, tiles, size).max(axis=(2, 4))
+            assert np.all(bound >= tile_max[:, i, j]), size
+            first, last = xs[:, ::size], xs[:, size - 1 :: size]
+            n0 = np.abs(fv[:, ::size][:, j] - fv[:, size - 1 :: size][:, i])
+            spread = np.maximum(smax[:, i], smax[:, j]) * ((last - first)[:, i] + (last - first)[:, j])
+            two_vertex = np.maximum(entry, (n0 + spread) / (last[:, j] - first[:, i]) ** alpha_exp)
+            off = i < j
+            assert np.all(bound[:, off] <= two_vertex[:, off] * (1.0 + 1e-12)), size
+
     @pytest.mark.parametrize("kind", ["f", "walk", "spikes", "smooth"])
     @pytest.mark.parametrize("alpha_exp", [0.5, 0.35, 0.05])
     def test_chord_implies_the_slope_bound(self, kind, alpha_exp):
-        # why _leaf_tiles needs no slope bound off the diagonal: for I < J the chord bound is at most
-        # S' d_max^(1-alpha), S' the largest slope of tiles I..J (each tile's slopes
-        # include the one to the next tile, as in the sweep)
+        # why _leaf_tiles needs no slope bound off the diagonal: for I < J the three-vertex bound is at
+        # most S' d_max^(1-alpha), S' the largest slope of tiles I..J (each tile's slopes include the
+        # one to the next tile, as in the sweep)
         xs, fv = self._grids(np.random.default_rng(20241), kind, 20, 256)
-        slope = np.pad(np.abs(np.diff(fv, axis=1)) / np.diff(xs, axis=1), ((0, 0), (0, 1)))
         for size in (64, 32, 16, 8):
-            first, last = xs[:, ::size], xs[:, size - 1 :: size]
-            smax = slope.reshape(len(xs), -1, size).max(axis=2)
-            i, j = np.triu_indices(first.shape[1], 1)
+            i, j, smax, _, bound = self._tile_pairs(xs, fv, size, alpha_exp)
+            off = i < j
+            i, j = i[off], j[off]
             s_prime = np.stack([smax[:, a : b + 1].max(axis=1) for a, b in zip(i, j)], axis=1)
-            d_min, d_max = first[:, j] - last[:, i], last[:, j] - first[:, i]
-            n0 = np.abs(fv[:, ::size][:, j] - fv[:, size - 1 :: size][:, i])
-            spread = np.maximum(smax[:, i], smax[:, j]) * ((last - first)[:, i] + (last - first)[:, j])
-            chord = np.maximum(n0 / d_min**alpha_exp, (n0 + spread) / d_max**alpha_exp)
-            assert np.all(chord <= s_prime * d_max ** (1.0 - alpha_exp) * (1.0 + 1e-12)), size
+            d_max = xs[:, size - 1 :: size][:, j] - xs[:, ::size][:, i]
+            assert np.all(bound[:, off] <= s_prime * d_max ** (1.0 - alpha_exp) * (1.0 + 1e-12)), size
 
     def test_degenerate_grids_are_scanned_in_full(self):
         xs = np.tile(np.linspace(0.1, 2.0, 65), (4, 1))
@@ -404,7 +437,7 @@ class TestSweepPruning:
         assert kept[1:, i, j].all()
 
     def test_search_evaluates_under_a_tenth_of_the_pairs(self, monkeypatch):
-        quotients = opt._quotients
+        quotients, leaf_tiles = opt._quotients, opt._leaf_tiles
 
         def counted(*args):
             nonlocal evaluated
@@ -412,12 +445,21 @@ class TestSweepPruning:
             evaluated += vals.size
             return vals
 
+        def kept(*args):
+            nonlocal leaves
+            lb, li, lj = leaf_tiles(*args)
+            leaves += li.size
+            return lb, li, lj
+
         monkeypatch.setattr(opt, "_quotients", counted)
+        monkeypatch.setattr(opt, "_leaf_tiles", kept)
         bounds = [piece_bounds(n, 8.0) for n in range(201)]
         for alpha_exp in (0.5, 0.35):
-            evaluated = 0
+            evaluated = leaves = 0
             opt._grid_sweep(bounds, 512, alpha_exp)
-            assert evaluated < 0.025 * len(bounds) * 512 * 511 / 2, alpha_exp
+            # the three-vertex bound keeps 1,689 leaves at alpha 1/2 and 1,712 at 0.35
+            assert evaluated < 0.011 * len(bounds) * 512 * 511 / 2, alpha_exp
+            assert leaves <= 1800, alpha_exp
 
     def test_sweep_working_memory(self):
         # what the block and chunk sizes are for: the process's peak memory
